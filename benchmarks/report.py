@@ -277,74 +277,24 @@ def t_chain() -> None:
                     f"{ms_chain:.2f}", f"{ms_proc:.2f}")
 
 
-class _UnindexedQueries:
-    """Per-call ``Computation`` causality queries — the pre-index cost model.
-
-    Substituted into :class:`SelectionScan` via its ``index`` parameter to
-    time the legacy sweep: every ``leq``/``successor`` re-validates ids and
-    walks the clock objects, exactly as the engines did before the
-    :mod:`repro.perf` layer.
-    """
-
-    def __init__(self, comp):
-        self.leq = comp.leq
-        self.successor = comp.successor
-
-
-def _legacy_chain_sweep(comp, pred) -> bool:
-    """The pre-``repro.perf`` chain-choice loop: no index, no memoization."""
-    import itertools
-
-    from repro.computation import minimum_chain_cover
-    from repro.detection.garg_waldecker import SelectionScan
-
-    per_group = []
-    for cl in pred.clauses:
-        trues = []
-        for p in sorted(cl.processes()):
-            literals = [lit for lit in cl.literals if lit.process == p]
-            for ev in comp.events_of(p):
-                if any(lit.holds_after(ev) for lit in literals):
-                    trues.append(ev.event_id)
-        per_group.append(
-            [list(chain) for chain in minimum_chain_cover(comp, trues)]
-        )
-    adapter = _UnindexedQueries(comp)
-    for combo in itertools.product(*per_group):
-        if SelectionScan(comp, list(combo), index=adapter).run() is not None:
-            return True
-    return False
-
-
 def t_parallel() -> None:
     header(
         "T-parallel",
         "memoized causality index + parallel sweep on the multi-combination "
         "singular k-CNF tier",
     )
-    row("groups", "combos", "legacy_ms", "indexed_ms", "parallel4_ms",
-        "index_speedup", "parallel4_speedup")
-    # The legacy sweep's per-scan cost is a constant factor, so one
-    # calibration size suffices; re-running it at every tier would spend
-    # most of the experiment re-measuring the same Python overhead.
-    for m, run_legacy in ((6, True), (7, False)):
+    row("groups", "combos", "serial_ms", "parallel4_ms", "parallel4_speedup")
+    for m in (6, 7):
         comp, pred = chain_structured_group(
             m, 4, chains_per_group=4, events_per_process=8,
             satisfiable=False,
         )
-        if run_legacy:
-            legacy_holds, ms_legacy = timed(_legacy_chain_sweep, comp, pred)
-        else:
-            legacy_holds, ms_legacy = False, None
         serial, ms_serial = timed(detect_by_chain_choice, comp, pred)
         par, ms_par = timed(detect_by_chain_choice, comp, pred, parallel=4)
-        assert legacy_holds == serial.holds == par.holds == False  # noqa: E712
+        assert serial.holds == par.holds == False  # noqa: E712
         assert serial.stats["invocations"] == par.stats["invocations"]
-        row(m, serial.stats["combinations"],
-            "-" if ms_legacy is None else f"{ms_legacy:.1f}",
-            f"{ms_serial:.1f}", f"{ms_par:.1f}",
-            "-" if ms_legacy is None else f"{ms_legacy / ms_serial:.2f}x",
-            "-" if ms_legacy is None else f"{ms_legacy / ms_par:.2f}x")
+        row(m, serial.stats["combinations"], f"{ms_serial:.1f}",
+            f"{ms_par:.1f}", f"{ms_serial / ms_par:.2f}x")
     # Determinism spot check: the parallel driver must return the very
     # witness the serial loop finds.
     comp, pred = chain_structured_group(
@@ -354,7 +304,7 @@ def t_parallel() -> None:
     par = detect_by_chain_choice(comp, pred, parallel=4)
     assert serial.holds and par.holds
     assert serial.witness.frontier == par.witness.frontier
-    row("witness determinism (4 workers)", "ok", "-", "-", "-", "-", "-")
+    row("witness determinism (4 workers)", "ok", "-", "-", "-")
 
 
 def t_workers() -> None:

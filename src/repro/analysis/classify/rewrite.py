@@ -15,8 +15,8 @@ derives the full :class:`~repro.analysis.classify.certificate
 * **property proofs**: process locality (read-set confined to one
   process), syntactic monotonicity (``cut.size() >= k`` atoms closed
   under and/or are monotone in the cut lattice, hence *stable* —
-  ``detect_stable`` eligible), and conjunctive viewability (work-optimal
-  engine eligible).
+  ``detect_stable`` eligible), and conjunctive viewability (eligible
+  for the strict ``engine="work-optimal"`` mode).
 
 The rewrite realizes exactly the semantics of
 :func:`repro.analysis.classify.fragment.evaluate_node`; differential

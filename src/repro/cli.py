@@ -966,8 +966,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=["auto", "work-optimal"],
         default="auto",
-        help="override engine dispatch: 'work-optimal' forces the "
-        "round-based conjunctive engine (possibly only)",
+        help="override engine dispatch: 'work-optimal' is the strict "
+        "conjunctive mode (CPDHB scan; possibly of conjunctive-viewable "
+        "predicates only, anything else exits 2)",
     )
     p_detect.add_argument(
         "--no-slice", action="store_true",

@@ -389,6 +389,14 @@ class Computation:
     # ------------------------------------------------------------------
     # Dunder conveniences
     # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, object]:
+        # The memoized causality index (repro.perf.causality) refers back
+        # to this computation weakly and cannot be pickled; a copy builds
+        # its own on first use.
+        state = dict(self.__dict__)
+        state.pop("_causality_index", None)
+        return state
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Computation(processes={self.num_processes}, "

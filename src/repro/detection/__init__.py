@@ -20,6 +20,7 @@ from repro.detection.garg_waldecker import (
     SelectionScan,
     detect_conjunctive,
     find_consistent_selection,
+    selection_witness,
 )
 from repro.detection.relational_sum import (
     definitely_sum,
@@ -41,7 +42,6 @@ from repro.detection.singular_cnf import (
 from repro.detection.stable import detect_stable, is_stable
 from repro.detection.stoller_schneider import detect_cnf_by_literal_choice
 from repro.detection.witnesses import count_witnesses, iter_witnesses
-from repro.detection.work_optimal import detect_work_optimal
 from repro.detection.symmetric_detect import (
     definitely_symmetric,
     possibly_symmetric,
@@ -69,7 +69,6 @@ __all__ = [
     "detect_singular",
     "detect_special_case",
     "detect_stable",
-    "detect_work_optimal",
     "false_intervals",
     "find_consistent_selection",
     "is_receive_ordered",
@@ -83,5 +82,6 @@ __all__ = [
     "possibly_sum_eq_exact",
     "possibly_sum_eq_unit",
     "possibly_symmetric",
+    "selection_witness",
     "witness_cut_with_sum",
 ]

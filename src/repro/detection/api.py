@@ -114,10 +114,9 @@ def detect(
     """Full detection result for the given predicate and modality.
 
     ``parallel`` fans combination-sweep engines (the singular k-CNF
-    process-/chain-choice drivers) across a worker pool, and sets the
-    thread count of the work-optimal engine's shared-state rounds;
-    verdicts and witnesses are identical to the serial runs.  Engines
-    without internal parallelism ignore it.
+    process-/chain-choice drivers) across a worker pool; verdicts and
+    witnesses are identical to the serial runs.  Engines without internal
+    parallelism ignore it.
 
     ``slice`` (default True) lets enumeration-based paths restrict their
     search to the sublattice of the predicate's conjunctive
@@ -125,10 +124,10 @@ def detect(
     Verdicts are identical either way.
 
     ``engine`` overrides dispatch: ``"auto"`` (default) picks by
-    predicate structure; ``"work-optimal"`` forces the round-based
-    engine of :mod:`repro.detection.work_optimal` for conjunctive-viewable
-    ``possibly`` queries (``slice=True`` jump-starts its chain cursors at
-    the slice box).
+    predicate structure; ``"work-optimal"`` is the strict conjunctive
+    mode: a conjunctive-viewable ``possibly`` query runs the CPDHB scan
+    (no slice bounds, no threads) and any other query raises
+    :class:`~repro.predicates.errors.UnsupportedPredicateError`.
 
     ``infer`` (default True) lets the static classifier
     (:mod:`repro.analysis.classify`) recover class structure from opaque
@@ -151,9 +150,7 @@ def detect(
     ) as root:
         result = None
         if engine == "work-optimal":
-            result = _work_optimal(
-                computation, predicate, modality, parallel, slice, infer
-            )
+            result = _work_optimal(computation, predicate, modality, infer)
         else:
             if infer and _is_opaque(predicate):
                 result = _inferred(
@@ -261,25 +258,28 @@ def _work_optimal(
     computation: Computation,
     predicate: GlobalPredicate,
     modality: Modality,
-    parallel: Optional[int],
-    use_slice: bool,
     infer: bool = True,
 ) -> DetectionResult:
-    """Forced ``engine="work-optimal"`` dispatch.
+    """Forced ``engine="work-optimal"`` dispatch: strict conjunctive mode.
 
-    The engine decides ``possibly`` of conjunctive-viewable predicates
-    (conjunctive, local, 1-CNF singular) — including, with ``infer``,
-    opaque predicates whose certified rewrite is conjunctive-viewable;
+    Decides ``possibly`` of conjunctive-viewable predicates (conjunctive,
+    local, 1-CNF singular) — including, with ``infer``, opaque predicates
+    whose certified rewrite is conjunctive-viewable — with the CPDHB scan;
     anything else is a structural mismatch the caller asked for
     explicitly, so it raises instead of silently falling back.
     """
-    from repro.detection.work_optimal import detect_work_optimal
     from repro.predicates.errors import UnsupportedPredicateError
 
     if modality is not Modality.POSSIBLY:
         raise UnsupportedPredicateError(
             "the work-optimal engine decides possibly only"
         )
+    if infer and _is_opaque(predicate):
+        from repro.analysis.classify import classification_for
+
+        certificate = classification_for(predicate, computation)
+        if certificate is not None and certificate.conjunctive_view:
+            predicate = certificate.rewrite
     if isinstance(predicate, ConjunctivePredicate):
         conj = predicate
     elif isinstance(predicate, LocalPredicate):
@@ -291,32 +291,11 @@ def _work_optimal(
     ):
         conj = conjunctive_from_cnf(predicate)
     else:
-        conj = None
-        if infer and _is_opaque(predicate):
-            from repro.analysis.classify import classification_for
-
-            certificate = classification_for(predicate, computation)
-            if certificate is not None and certificate.conjunctive_view:
-                rewrite = certificate.rewrite
-                if isinstance(rewrite, ConjunctivePredicate):
-                    conj = rewrite
-                elif isinstance(rewrite, LocalPredicate):
-                    conj = ConjunctivePredicate([rewrite])
-                elif isinstance(rewrite, CNFPredicate):
-                    conj = conjunctive_from_cnf(rewrite)
-        if conj is None:
-            raise UnsupportedPredicateError(
-                "the work-optimal engine requires a conjunctive-viewable "
-                "predicate"
-            )
-    bounds = None
-    if use_slice:
-        from repro.slicing.dispatch import slice_info
-
-        bounds = slice_info(computation, conj).bounds
-    return detect_work_optimal(
-        computation, conj, parallel=parallel, bounds=bounds
-    )
+        raise UnsupportedPredicateError(
+            "the work-optimal engine requires a conjunctive-viewable "
+            "predicate"
+        )
+    return detect_conjunctive(computation, conj)
 
 
 def _possibly(

@@ -31,10 +31,16 @@ from repro.events import EventId
 from repro.obs import StatCounters, span
 from repro.obs.progress import tracker
 from repro.perf.causality import CausalityIndex
+from repro.predicates.base import GlobalPredicate
 from repro.predicates.conjunctive import ConjunctivePredicate
 from repro.predicates.local import true_events
 
-__all__ = ["find_consistent_selection", "detect_conjunctive", "SelectionScan"]
+__all__ = [
+    "find_consistent_selection",
+    "detect_conjunctive",
+    "selection_witness",
+    "SelectionScan",
+]
 
 
 class SelectionScan:
@@ -44,40 +50,25 @@ class SelectionScan:
     benchmarks; the scan performs at most ``sum of chain lengths``
     eliminations, each costing O(number of chains) consistency checks.
 
-    Causality queries go through the computation's memoized
-    :class:`~repro.perf.causality.CausalityIndex` (raw-clock ``leq``,
-    precomputed successors); pass ``index`` explicitly only to substitute
-    a compatible query provider (the benchmarks use this to measure the
-    unindexed baseline).
+    This is the one serial conjunctive kernel: CPDHB, the CPDSC
+    meta-process scan, the Stoller–Schneider decomposition and the
+    per-rank combination sweeps all run it.  Causality is read straight
+    from the raw clock tuples of the computation's memoized
+    :class:`~repro.perf.causality.CausalityIndex`.
     """
 
     def __init__(
         self,
         computation: Computation,
         chains: Sequence[Sequence[EventId]],
-        index=None,
     ):
-        self._comp = computation
-        self._index = index if index is not None else CausalityIndex.of(computation)
+        self._index = CausalityIndex.of(computation)
         self._chains: List[List[EventId]] = [list(c) for c in chains]
         self.advances = 0
         self.comparisons = 0
 
     def run(self) -> Optional[List[EventId]]:
-        """Return a pairwise-consistent selection, or None if none exists."""
-        m = len(self._chains)
-        if m == 0:
-            return []
-        if any(not chain for chain in self._chains):
-            return None
-        if isinstance(self._index, CausalityIndex):
-            return self._run_indexed(self._index, m)
-        return self._run_generic(self._index, m)
-
-    def _run_indexed(
-        self, index: CausalityIndex, m: int
-    ) -> Optional[List[EventId]]:
-        """Scan on raw clock tuples — no per-comparison function calls.
+        """Return the least pairwise-consistent selection, or None.
 
         For a non-initial event ``e' = (p, i)`` with ``i >= 1``,
         ``leq(e', f)`` reduces to ``f`` being non-initial with
@@ -86,10 +77,16 @@ class SelectionScan:
         equality is covered too).  Both elimination tests only ever apply
         ``leq`` to local successors, which are non-initial by construction.
         """
-        clk = index._clk
-        lengths = index._lengths
         chains = self._chains
+        m = len(chains)
+        if m == 0:
+            return []
+        if any(not chain for chain in chains):
+            return None
+        clk = self._index._clk
+        lengths = self._index._lengths
         cursor = [0] * m
+        # Chains whose candidate changed and must be re-checked against all.
         pending: deque[int] = deque(range(m))
         queued = [True] * m
         advances = 0
@@ -102,7 +99,6 @@ class SelectionScan:
             ep, ei = chains[i][cursor[i]]
             ei1 = ei + 1
             e_last = ei1 >= lengths[ep]
-            restart = False
             for j in range(m):
                 if j == i:
                     continue
@@ -119,7 +115,6 @@ class SelectionScan:
                     if not queued[i]:
                         pending.append(i)
                         queued[i] = True
-                    restart = True
                     break
                 fi1 = fi + 1
                 if fi1 < lengths[fp] and ei and clk[ep][ei][fp] > fi1:
@@ -133,59 +128,9 @@ class SelectionScan:
                     if not queued[j]:
                         pending.append(j)
                         queued[j] = True
-            if restart:
-                continue
         self.advances = advances
         self.comparisons = comparisons
         return [chains[i][cursor[i]] for i in range(m)]
-
-    def _run_generic(self, index, m: int) -> Optional[List[EventId]]:
-        """Scan through the provider's ``leq``/``successor`` callables."""
-        leq = index.leq
-        successor = index.successor
-        cursor = [0] * m
-        # Chains whose candidate changed and must be re-checked against all.
-        pending: deque[int] = deque(range(m))
-        queued = [True] * m
-
-        def advance(i: int) -> bool:
-            """Move chain i to its next event; False if exhausted."""
-            self.advances += 1
-            cursor[i] += 1
-            return cursor[i] < len(self._chains[i])
-
-        trk = tracker("detect.scan", check_every=512)
-        while pending:
-            trk.step()
-            i = pending.popleft()
-            queued[i] = False
-            e = self._chains[i][cursor[i]]
-            succ_e = successor(e)
-            restart = False
-            for j in range(m):
-                if j == i:
-                    continue
-                f = self._chains[j][cursor[j]]
-                self.comparisons += 1
-                if succ_e is not None and leq(succ_e, f):
-                    # e cannot pair with f nor any later event of chain j.
-                    if not advance(i):
-                        return None
-                    if not queued[i]:
-                        pending.append(i)
-                        queued[i] = True
-                    restart = True
-                    break
-                succ_f = successor(f)
-                if succ_f is not None and leq(succ_f, e):
-                    if not advance(j):
-                        return None
-                    if not queued[j]:
-                        pending.append(j)
-                        queued[j] = True
-            if restart:
-                continue
-        return [self._chains[i][cursor[i]] for i in range(m)]
 
 
 def find_consistent_selection(
@@ -198,6 +143,32 @@ def find_consistent_selection(
     lists both are).
     """
     return SelectionScan(computation, chains).run()
+
+
+def selection_witness(
+    computation: Computation,
+    predicate: GlobalPredicate,
+    selection: Sequence[EventId],
+) -> Cut:
+    """The witness cut of a pairwise-consistent selection, checked.
+
+    Every engine that ends in a selection turns it into its witness here:
+    the least consistent cut through the selected events, which must
+    exist and satisfy ``predicate``.  A failure means the engine is
+    wrong, so both checks raise ``AssertionError`` explicitly and
+    survive ``python -O``.
+    """
+    witness = least_consistent_cut(computation, selection)
+    if witness is None:
+        raise AssertionError(
+            f"selection {list(selection)} admits no consistent cut"
+        )
+    if not predicate.evaluate(witness):
+        raise AssertionError(
+            f"witness {witness.frontier} does not satisfy "
+            f"{predicate.description()}"
+        )
+    return witness
 
 
 def detect_conjunctive(
@@ -225,10 +196,9 @@ def detect_conjunctive(
             return DetectionResult(
                 holds=False, algorithm="cpdhb", stats=stats.as_dict()
             )
-        witness = least_consistent_cut(computation, selection)
-        assert witness is not None, "CPDHB selection must admit a consistent cut"
-        assert predicate.evaluate(witness)
         return DetectionResult(
-            holds=True, witness=witness, algorithm="cpdhb",
+            holds=True,
+            witness=selection_witness(computation, predicate, selection),
+            algorithm="cpdhb",
             stats=stats.as_dict(),
         )

@@ -27,23 +27,18 @@ All engines return a witness cut when the predicate possibly holds.
 
 from __future__ import annotations
 
-import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from repro.computation import Computation, Cut, least_consistent_cut
+from repro.computation import Computation
 from repro.detection.cooper_marzullo import possibly_enumerate
 from repro.detection.cpdsc import (
     detect_receive_ordered,
     detect_send_ordered,
 )
-from repro.detection.garg_waldecker import SelectionScan
+from repro.detection.garg_waldecker import selection_witness
 from repro.detection.result import DetectionResult
-from repro.detection.work_optimal import (
-    VEC_CHUNK,
-    CombinationSweep,
-    use_batched_sweep,
-)
+from repro.detection.work_optimal import RankScanner, rank_chunks
 from repro.events import EventId
 from repro.obs import StatCounters, span
 from repro.obs.progress import tracker
@@ -83,17 +78,6 @@ def clause_true_events(computation: Computation, cl: Clause) -> List[EventId]:
 def _groups(predicate: CNFPredicate) -> List[List[int]]:
     predicate.require_singular()
     return [sorted(cl.processes()) for cl in predicate.clauses]
-
-
-def _witness(
-    computation: Computation,
-    predicate: CNFPredicate,
-    selection: Sequence[EventId],
-) -> Cut:
-    witness = least_consistent_cut(computation, selection)
-    assert witness is not None, "pairwise-consistent selection must admit a cut"
-    assert predicate.evaluate(witness), "witness cut must satisfy the predicate"
-    return witness
 
 
 def _choose_special_variant(
@@ -140,7 +124,7 @@ def _detect_special_given(
             )
         return DetectionResult(
             holds=True,
-            witness=_witness(computation, predicate, selection),
+            witness=selection_witness(computation, predicate, selection),
             algorithm="cpdsc",
             stats=stats.as_dict(),
         )
@@ -250,25 +234,24 @@ def _detect_by_combinations(
         stats.inc("advances", 0)
 
         def _finish(
-            holds: bool, selection: Optional[Sequence[EventId]] = None
+            selection: Optional[Sequence[EventId]],
         ) -> DetectionResult:
-            sp.set(holds=holds)
+            sp.set(holds=selection is not None)
             index.maybe_flush_metrics()
-            if not holds:
+            if selection is None:
                 return DetectionResult(
                     holds=False, algorithm=algorithm, stats=stats.as_dict()
                 )
-            assert selection is not None
             return DetectionResult(
                 holds=True,
-                witness=_witness(computation, predicate, selection),
+                witness=selection_witness(computation, predicate, selection),
                 algorithm=algorithm,
                 stats=stats.as_dict(),
             )
 
         if total == 0:
             # Some group has no true event at all: the clause can never hold.
-            return _finish(False)
+            return _finish(None)
 
         if workers > 1:
             outcome = run_combination_search(
@@ -277,48 +260,23 @@ def _detect_by_combinations(
             if outcome is not None:
                 stats.inc("invocations", outcome.invocations)
                 stats.inc("advances", outcome.advances)
-                return _finish(
-                    outcome.selection is not None, outcome.selection
-                )
+                return _finish(outcome.selection)
             # Pool creation failed (restricted sandbox): serial fallback.
             stats.set("workers", 1)
 
+        # The same scanner and chunks as the pool's workers: identical
+        # verdict, witness, invocations and advances.
+        scanner = RankScanner(computation, per_group_chains)
         trk = tracker("detect.combinations", total=total)
-        if use_batched_sweep(total):
-            # Large sweeps: score a whole block of ranks per call with the
-            # vectorized work-optimal rounds.  Every rank of a consumed
-            # block runs to its verdict, so ``invocations`` counts whole
-            # blocks — the same accounting the pooled driver uses, keeping
-            # serial and parallel counters identical.
-            sweep = CombinationSweep(
-                computation, per_group_chains, index=index
-            )
-            for start in range(0, total, VEC_CHUNK):
-                stop = min(start + VEC_CHUNK, total)
-                stats.inc("invocations", stop - start)
-                with span("scan.batch", ranks=stop - start) as scan_sp:
-                    _, selection, advances, rounds = sweep.scan_block(
-                        start, stop
-                    )
-                    scan_sp.set(advances=advances, rounds=rounds)
-                stats.inc("advances", advances)
-                trk.step(stop - start)
-                if selection is not None:
-                    return _finish(True, selection)
-            trk.finish()
-            return _finish(False)
-        for combo in itertools.product(*per_group_chains):
-            stats.inc("invocations")
-            with span("scan.cpdhb") as scan_sp:
-                scan = SelectionScan(computation, list(combo), index=index)
-                selection = scan.run()
-                scan_sp.set(advances=scan.advances)
-            stats.inc("advances", scan.advances)
-            trk.step()
+        for start, stop in rank_chunks(total):
+            _, selection, invocations, advances = scanner.scan(start, stop)
+            stats.inc("invocations", invocations)
+            stats.inc("advances", advances)
+            trk.step(invocations)
             if selection is not None:
-                return _finish(True, selection)
+                return _finish(selection)
         trk.finish()
-        return _finish(False)
+        return _finish(None)
 
 
 def detect_singular(

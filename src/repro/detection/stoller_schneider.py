@@ -30,8 +30,8 @@ import itertools
 import math
 from typing import Dict, List, Sequence, Tuple
 
-from repro.computation import Computation, least_consistent_cut
-from repro.detection.garg_waldecker import SelectionScan
+from repro.computation import Computation
+from repro.detection.garg_waldecker import SelectionScan, selection_witness
 from repro.detection.result import DetectionResult
 from repro.events import Event, EventId
 from repro.obs import StatCounters, span
@@ -101,13 +101,12 @@ def detect_cnf_by_literal_choice(
                 selection = scan.run()
                 scan_sp.set(advances=scan.advances)
             if selection is not None:
-                witness = least_consistent_cut(computation, selection)
-                assert witness is not None
-                assert predicate.evaluate(witness)
                 sp.set(holds=True)
                 return DetectionResult(
                     holds=True,
-                    witness=witness,
+                    witness=selection_witness(
+                        computation, predicate, selection
+                    ),
                     algorithm="stoller-schneider",
                     stats=stats.as_dict(),
                 )

@@ -8,8 +8,8 @@ CPDHB scan — and run up to ``prod c_j`` scans over the **same immutable
 computation**, re-deriving identical answers on every scan.
 
 :class:`CausalityIndex` hoists those answers into flat per-computation
-structures built once and shared by every scan (and, through the
-module-level weak cache, by every query against the same computation):
+structures built once and shared by every scan (and, since the index is
+stored on the computation, by every query against the same computation):
 
 * raw vector-clock tuples (``_clk[p][i]``), giving a ``leq`` fast path
   with no :class:`~repro.events.vector_clock.VectorClock` indirection and
@@ -25,10 +25,13 @@ module-level weak cache, by every query against the same computation):
   tuples instead of constructing and re-hashing :class:`Cut` objects per
   edge.
 
-Indices are cached per computation in a :class:`weakref.WeakKeyDictionary`
-— they live exactly as long as the computation they describe.  All cache
-hit/miss tallies are kept as plain integers (always cheap) and mirrored
-into the metrics registry as ``perf.*`` counters by
+Each index is stored on the computation it describes and refers back to
+it only weakly, so dropping the last reference to a computation frees
+the computation and its index by reference counting alone.  The cut
+interner is the exception: its cached cuts refer to the computation, so
+a computation whose lattice was walked is freed by the cyclic collector.
+All cache hit/miss tallies are kept as plain integers (always cheap) and
+mirrored into the metrics registry as ``perf.*`` counters by
 :meth:`maybe_flush_metrics` when observability is enabled.
 """
 
@@ -48,9 +51,8 @@ __all__ = ["CausalityIndex"]
 #: Chains of a cover, as immutable event-id tuples.
 ChainCover = Tuple[Tuple[EventId, ...], ...]
 
-_INDEX_CACHE: "weakref.WeakKeyDictionary[Computation, CausalityIndex]" = (
-    weakref.WeakKeyDictionary()
-)
+#: Attribute under which a computation holds its index.
+_INDEX_ATTR = "_causality_index"
 
 
 class CausalityIndex:
@@ -62,7 +64,7 @@ class CausalityIndex:
     """
 
     __slots__ = (
-        "computation",
+        "_computation",
         "num_processes",
         "_lengths",
         "_clk",
@@ -78,12 +80,12 @@ class CausalityIndex:
         "__weakref__",
     )
 
-    #: Tally of `of()` lookups served from / missing the weak cache.
+    #: Tally of `of()` lookups that found / had to build the index.
     index_hits: int = 0
     index_misses: int = 0
 
     def __init__(self, computation: Computation):
-        self.computation = computation
+        self._computation = weakref.ref(computation)
         n = computation.num_processes
         self.num_processes = n
         lengths = [len(computation.events_of(p)) for p in range(n)]
@@ -125,15 +127,20 @@ class CausalityIndex:
     # ------------------------------------------------------------------
     @classmethod
     def of(cls, computation: Computation) -> "CausalityIndex":
-        """The (weakly cached) index of ``computation``."""
-        index = _INDEX_CACHE.get(computation)
+        """The index of ``computation``, built on first use."""
+        index = computation.__dict__.get(_INDEX_ATTR)
         if index is None:
             cls.index_misses += 1
             index = cls(computation)
-            _INDEX_CACHE[computation] = index
+            setattr(computation, _INDEX_ATTR, index)
         else:
             cls.index_hits += 1
         return index
+
+    @property
+    def computation(self) -> Computation:
+        """The computation this index describes."""
+        return self._computation()
 
     # ------------------------------------------------------------------
     # Causality fast paths

@@ -29,8 +29,6 @@ of per-pair Python calls:
 * :meth:`advance_enabled` / :meth:`successor_frontiers_batch` — the
   frontier-consistency kernel: which processes may advance from each of a
   batch of consistent frontiers (the inner loop of every lattice walk);
-* :meth:`join_rows` — componentwise clock join (the *need* vector of the
-  work-optimal elimination rounds, :mod:`repro.detection.work_optimal`);
 * :meth:`closure_at_least` — least consistent cut above a frontier with a
   per-process floor, as a vectorized fixpoint.
 
@@ -140,19 +138,6 @@ class ClockMatrix:
         """Matrix row of one event id."""
         return self.offsets[event[0]] + event[1]
 
-    def rows_of(self, events: Sequence[EventId]):
-        """Matrix rows of a batch of event ids (array / list)."""
-        offsets = self.offsets
-        rows = [offsets[p] + i for p, i in events]
-        if self.use_numpy:
-            return _np.asarray(rows, dtype=_np.int64)
-        return rows
-
-    def event_of(self, row: int) -> EventId:
-        """Event id of one matrix row."""
-        p = int(self.proc[row])
-        return (p, row - self.offsets[p])
-
     def _tally(self, rows: int) -> None:
         self.counters["batch_calls"] += 1
         self.counters["rows"] += rows
@@ -198,33 +183,6 @@ class ClockMatrix:
             clk[rb][proc[ra]] <= pos[ra] and clk[ra][proc[rb]] <= pos[rb]
             for ra, rb in zip(rows_a, rows_b)
         ]
-
-    # ------------------------------------------------------------------
-    # Clock gathers and joins (work-optimal rounds)
-    # ------------------------------------------------------------------
-    def gather_clocks(self, rows):
-        """Clock vectors of the given rows, shape ``rows.shape + (n,)``."""
-        if self.use_numpy:
-            return self.clk[_np.asarray(rows, dtype=_np.int64)]
-        return [self.clk[r] for r in rows]
-
-    def join_rows(self, rows) -> Tuple[int, ...]:
-        """Componentwise max (join) of the given rows' clocks."""
-        if self.use_numpy:
-            self._tally(len(rows))
-            return tuple(
-                int(v)
-                for v in self.clk[
-                    _np.asarray(rows, dtype=_np.int64)
-                ].max(axis=0)
-            )
-        self._tally(len(rows))
-        need = [0] * self.num_processes
-        for r in rows:
-            for q, value in enumerate(self.clk[r]):
-                if value > need[q]:
-                    need[q] = value
-        return tuple(need)
 
     # ------------------------------------------------------------------
     # Frontier-consistency kernel (lattice walks)

@@ -2,10 +2,11 @@
 
 The process-choice and chain-choice engines pay for NP-hardness with
 ``prod c_j`` *independent* CPDHB scans — an embarrassingly parallel sweep
-that the serial driver walks one combination at a time.  This module fans
-contiguous rank chunks of the combination space across a
-``multiprocessing`` pool while preserving the serial engine's exact
-semantics:
+that the serial driver walks chunk by chunk.  This module fans the same
+contiguous rank chunks across a ``multiprocessing`` pool, and each worker
+scores them with the serial driver's
+:class:`~repro.detection.work_optimal.RankScanner`, preserving the serial
+engine's exact semantics:
 
 * **Deterministic first witness.**  Combinations are ranked in
   ``itertools.product`` order (last group varies fastest).  Chunks
@@ -43,7 +44,7 @@ from repro.events import EventId
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
 from repro.obs.progress import PROGRESS, tracker
-from repro.obs.spans import span, take_roots
+from repro.obs.spans import take_roots
 from repro.perf.causality import CausalityIndex
 
 __all__ = [
@@ -52,11 +53,6 @@ __all__ = [
     "resolve_workers",
     "run_combination_search",
 ]
-
-#: Upper bound on ranks per chunk: small enough for early cancellation to
-#: bite, large enough to amortize one IPC round trip over many scans.
-MAX_CHUNK = 64
-
 
 @dataclass(frozen=True)
 class ParallelOutcome:
@@ -102,15 +98,15 @@ def combination_at(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-_WORKER_STATE: Optional[Tuple[object, Sequence[Sequence[Sequence[EventId]]]]] = None
-_WORKER_SWEEP = None
+_WORKER_STATE: Optional[Tuple[object, object]] = None
 
 
 def _init_worker(computation, per_group_chains) -> None:
     """Pool initializer: pin the shared inputs and prebuild the index."""
-    global _WORKER_STATE, _WORKER_SWEEP
-    _WORKER_STATE = (computation, per_group_chains)
-    _WORKER_SWEEP = None
+    from repro.detection.work_optimal import RankScanner
+
+    global _WORKER_STATE
+    _WORKER_STATE = (computation, RankScanner(computation, per_group_chains))
     # Progress pacing and deadline enforcement belong to the driving
     # process; a forked worker must not tick the parent's sink or raise
     # DeadlineExceeded where nobody catches it.
@@ -119,7 +115,7 @@ def _init_worker(computation, per_group_chains) -> None:
 
 
 def _scan_chunk(bounds: Tuple[int, int]):
-    """Scan ranks ``[start, stop)``; stop at the chunk's first success.
+    """Scan ranks ``[start, stop)`` with the worker's rank scanner.
 
     Returns ``(winning_rank_or_None, selection_or_None, invocations,
     advances, metrics_snapshot_or_None)``.
@@ -131,57 +127,16 @@ def _scan_chunk(bounds: Tuple[int, int]):
     the worker.  Span trees stay worker-local (only their histogram
     aggregates cross the process boundary).
     """
-    from repro.detection.garg_waldecker import SelectionScan
-    from repro.detection.work_optimal import (
-        CombinationSweep,
-        use_batched_sweep,
-    )
-
     assert _WORKER_STATE is not None, "worker used before initialization"
-    computation, per_group_chains = _WORKER_STATE
-    start, stop = bounds
+    computation, scanner = _WORKER_STATE
     collect = STATE.enabled
     if collect:
         registry().reset()
         take_roots()
-    index = CausalityIndex.of(computation)
-    invocations = 0
-    advances = 0
-    winning_rank: Optional[int] = None
-    selection = None
-    total = math.prod(len(chains) for chains in per_group_chains)
-    if use_batched_sweep(total):
-        # Mirror the serial driver's batched path: the whole block runs to
-        # its verdict in one vectorized call and counts every rank as an
-        # invocation, so serial and pooled sweeps report identical stats.
-        global _WORKER_SWEEP
-        if _WORKER_SWEEP is None:
-            _WORKER_SWEEP = CombinationSweep(
-                computation, per_group_chains, index=index
-            )
-        with span("scan.batch", ranks=stop - start) as scan_sp:
-            winning_rank, selection, advances, rounds = (
-                _WORKER_SWEEP.scan_block(start, stop)
-            )
-            scan_sp.set(advances=advances, rounds=rounds)
-        invocations = stop - start
-    else:
-        for rank in range(start, stop):
-            with span("scan.cpdhb") as scan_sp:
-                scan = SelectionScan(
-                    computation, combination_at(per_group_chains, rank),
-                    index=index,
-                )
-                selection = scan.run()
-                scan_sp.set(advances=scan.advances)
-            invocations += 1
-            advances += scan.advances
-            if selection is not None:
-                winning_rank = rank
-                break
+    winning_rank, selection, invocations, advances = scanner.scan(*bounds)
     snapshot = None
     if collect:
-        index.maybe_flush_metrics()
+        CausalityIndex.of(computation).maybe_flush_metrics()
         take_roots()
         snapshot = registry().snapshot()
     return winning_rank, selection, invocations, advances, snapshot
@@ -190,20 +145,6 @@ def _scan_chunk(bounds: Tuple[int, int]):
 # ----------------------------------------------------------------------
 # Driver side
 # ----------------------------------------------------------------------
-def _chunk_bounds(total: int, workers: int) -> List[Tuple[int, int]]:
-    from repro.detection.work_optimal import VEC_CHUNK, use_batched_sweep
-
-    if use_batched_sweep(total):
-        # Fixed, worker-count-independent blocks: the batched kernel
-        # scores a whole block per call, and using the serial driver's
-        # exact block boundaries keeps the two drivers' invocation and
-        # advance counters bit-identical regardless of pool size.
-        chunk = VEC_CHUNK
-    else:
-        chunk = max(1, min(MAX_CHUNK, math.ceil(total / (workers * 4))))
-    return [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-
-
 def _pool_context():
     try:
         return multiprocessing.get_context("fork")
@@ -226,7 +167,9 @@ def run_combination_search(
     total = math.prod(len(chains) for chains in per_group_chains)
     if total == 0:
         return ParallelOutcome(None, None, 0, 0, workers, 0)
-    bounds = chunk_bounds or _chunk_bounds(total, workers)
+    from repro.detection.work_optimal import rank_chunks
+
+    bounds = chunk_bounds or rank_chunks(total, workers)
     frozen = [
         [list(chain) for chain in chains] for chains in per_group_chains
     ]

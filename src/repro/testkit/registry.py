@@ -345,48 +345,6 @@ def _build_default() -> OracleRegistry:
         )
         return sliced.holds
 
-    def make_work_optimal(
-        parallel: Optional[int] = None,
-        sliced: bool = False,
-        vectorized: Optional[bool] = None,
-    ) -> EngineFn:
-        """A work-optimal variant with full parity checks against CPDHB:
-        equal verdicts, and on True the identical witness frontier (both
-        engines converge to the least consistent selection).  A broken
-        parity raises, which the fuzzer records as a crash finding."""
-
-        def run(comp: Computation, pred: GlobalPredicate) -> bool:
-            from repro.detection import detect_work_optimal
-
-            conj = as_conjunctive(pred)
-            bounds = None
-            if sliced:
-                from repro.slicing.dispatch import slice_info
-
-                bounds = slice_info(comp, conj).bounds
-            result = detect_work_optimal(
-                comp,
-                conj,
-                parallel=parallel,
-                bounds=bounds,
-                vectorized=vectorized,
-            )
-            reference = detect_conjunctive(comp, conj)
-            assert result.holds == reference.holds, (
-                f"verdict mismatch: work-optimal={result.holds} "
-                f"cpdhb={reference.holds}"
-            )
-            if result.holds:
-                assert result.witness is not None
-                assert result.witness.frontier == reference.witness.frontier, (
-                    f"witness mismatch: work-optimal="
-                    f"{result.witness.frontier} "
-                    f"cpdhb={reference.witness.frontier}"
-                )
-            return result.holds
-
-        return run
-
     def run_clockmatrix_roundtrip(
         comp: Computation, pred: GlobalPredicate
     ) -> bool:
@@ -442,18 +400,6 @@ def _build_default() -> OracleRegistry:
     for engine in [
         EngineSpec("cpdhb", P, run_cpdhb),
         EngineSpec("slice", P, run_slice),
-        EngineSpec("work-optimal", P, make_work_optimal()),
-        EngineSpec(
-            "work-optimal-parallel2", P, make_work_optimal(parallel=2)
-        ),
-        EngineSpec(
-            "work-optimal-sliced", P, make_work_optimal(sliced=True)
-        ),
-        EngineSpec(
-            "work-optimal-pyfallback",
-            P,
-            make_work_optimal(vectorized=False),
-        ),
         EngineSpec(
             "clockmatrix-roundtrip",
             P,

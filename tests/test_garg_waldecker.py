@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from repro.detection import (
     detect_singular,
     find_consistent_selection,
     possibly_enumerate,
+    selection_witness,
 )
 from repro.predicates import clause, conjunctive, local, singular_cnf
 from repro.predicates.local import true_events
@@ -62,14 +64,6 @@ class TestSelectionScan:
         assert scan.comparisons >= 1
 
 
-class _RawComputationQueries:
-    """Unindexed ``leq``/``successor`` provider (the pre-index cost model)."""
-
-    def __init__(self, comp):
-        self.leq = comp.leq
-        self.successor = comp.successor
-
-
 class TestSelectionScanProperties:
     @settings(max_examples=40, deadline=None)
     @given(random_comp)
@@ -82,22 +76,6 @@ class TestSelectionScanProperties:
         scan = SelectionScan(comp, chains)
         scan.run()
         assert scan.advances <= sum(len(chain) for chain in chains)
-
-    @settings(max_examples=40, deadline=None)
-    @given(random_comp)
-    def test_indexed_and_generic_paths_agree(self, comp):
-        """The raw-clock fast path equals the provider-callable slow path."""
-        chains = [
-            true_events(comp, local(p, "x"))
-            for p in range(comp.num_processes)
-        ]
-        fast = SelectionScan(comp, chains)
-        slow = SelectionScan(
-            comp, chains, index=_RawComputationQueries(comp)
-        )
-        assert fast.run() == slow.run()
-        assert fast.advances == slow.advances
-        assert fast.comparisons == slow.comparisons
 
     @settings(max_examples=12, deadline=None)
     @given(st.integers(0, 10_000))
@@ -119,6 +97,27 @@ class TestSelectionScanProperties:
         assert parallel.stats["advances"] == serial.stats["advances"]
         if serial.holds:
             assert parallel.witness.frontier == serial.witness.frontier
+
+
+class TestSelectionWitness:
+    """The shared selection -> witness step checks with explicit raises."""
+
+    def test_returns_least_cut_through_selection(self, figure2):
+        pred = conjunctive(local(0, "x"), local(1, "x"))
+        witness = selection_witness(figure2, pred, [(0, 1), (1, 1)])
+        assert witness.frontier == (2, 2, 1, 1)
+
+    def test_non_satisfying_selection_raises(self, figure2):
+        # Both initial events: consistent, but x is still false there.
+        pred = conjunctive(local(0, "x"), local(1, "x"))
+        with pytest.raises(AssertionError, match="does not satisfy"):
+            selection_witness(figure2, pred, [(0, 0), (1, 0)])
+
+    def test_inconsistent_selection_raises(self, figure2):
+        # g = (2, 1) receives from f = (1, 1): no cut holds g but not f.
+        pred = conjunctive(local(1, "x", negated=True), local(2, "x"))
+        with pytest.raises(AssertionError, match="no consistent cut"):
+            selection_witness(figure2, pred, [(1, 0), (2, 1)])
 
 
 class TestDetectConjunctive:

@@ -8,11 +8,15 @@ serial sweep's verdict, witness, and scan counts.
 
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.computation import Cut, initial_cut, iter_consistent_cuts
-from repro.detection import detect_singular
+from repro.detection import detect_conjunctive, detect_singular
 from repro.obs import Capture
 from repro.perf.causality import CausalityIndex
 from repro.perf.interning import CutInterner
@@ -21,8 +25,13 @@ from repro.perf.parallel import (
     resolve_workers,
     run_combination_search,
 )
-from repro.predicates import clause, local, singular_cnf
-from repro.trace import BoolVar, random_computation
+from repro.predicates import clause, conjunctive, local, singular_cnf
+from repro.trace import (
+    BoolVar,
+    dump_computation,
+    load_computation,
+    random_computation,
+)
 
 random_comp = st.builds(
     random_computation,
@@ -105,6 +114,36 @@ class TestCausalityIndex:
         # The second query is served straight from the chain-cover cache.
         assert counters.get("perf.chain_cover.misses", 0) >= 1
         assert counters.get("perf.chain_cover.hits", 0) >= 1
+
+
+    def test_dropped_computation_frees_its_index(self, tmp_path):
+        """Reference counting alone frees a loaded, indexed computation."""
+        path = tmp_path / "trace.json"
+        dump_computation(
+            random_computation(
+                4, 6, 0.4, seed=3, variables=[BoolVar("x", density=0.5)]
+            ),
+            str(path),
+        )
+        pred = conjunctive(*(local(p, "x") for p in range(4)))
+        gc.collect()
+        gc.disable()
+        try:
+            comp = load_computation(str(path))
+            index = CausalityIndex.of(comp)
+            index.matrix
+            detect_conjunctive(comp, pred)
+            refs = [weakref.ref(comp), weakref.ref(index)]
+            del comp, index
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_indexed_computation_pickles(self, figure2):
+        CausalityIndex.of(figure2).matrix
+        copy = pickle.loads(pickle.dumps(figure2))
+        assert CausalityIndex.of(copy) is not CausalityIndex.of(figure2)
+        assert CausalityIndex.of(copy)._clk == CausalityIndex.of(figure2)._clk
 
 
 class TestCutInterner:

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection import (
+    SelectionScan,
     detect_by_chain_choice,
     detect_by_process_choice,
     detect_singular,
@@ -14,6 +19,10 @@ from repro.detection.singular_cnf import (
     clause_true_events,
     clause_true_events_on,
 )
+from repro.detection.work_optimal import CombinationSweep
+from repro.perf.causality import CausalityIndex
+from repro.perf.clockmatrix import numpy_available
+from repro.perf.parallel import combination_at
 from repro.predicates import (
     NotSingularError,
     clause,
@@ -140,3 +149,61 @@ class TestCombinatorics:
         assert result.holds
         assert 1 <= result.stats["invocations"] <= result.stats["combinations"]
         assert result.stats["combinations"] == 4
+
+
+@pytest.mark.skipif(
+    not numpy_available(), reason="the batched kernel needs numpy"
+)
+class TestKernelsAgree:
+    """The batched sweep and the serial scan agree rank by rank."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 3),
+        st.integers(2, 3),
+        st.integers(2, 6),
+        st.sampled_from([0.0, 0.3, 0.6]),
+        st.sampled_from([0.2, 0.4, 0.7]),
+        st.integers(0, 100_000),
+    )
+    def test_scan_block_matches_selection_scan(
+        self, groups, size, events, density, truth, seed
+    ):
+        comp = grouped_computation(
+            groups,
+            size,
+            events,
+            message_density=density,
+            seed=seed,
+            variables=[BoolVar("x", density=truth)],
+        )
+        pred = predicate_for_groups(groups, size, negate_some=seed % 2 == 1)
+        index = CausalityIndex.of(comp)
+        process_choice = [
+            [
+                list(index.clause_true_events_on(cl, p))
+                for p in sorted(cl.processes())
+            ]
+            for cl in pred.clauses
+        ]
+        chain_cover = [
+            [list(chain) for chain in index.chain_cover(cl)]
+            for cl in pred.clauses
+        ]
+        for table in (process_choice, chain_cover):
+            total = math.prod(len(chains) for chains in table)
+            if total == 0:
+                continue
+            sweep = CombinationSweep(comp, table)
+            first = None
+            for rank in range(total):
+                serial = SelectionScan(
+                    comp, combination_at(table, rank)
+                ).run()
+                won, selection, _, _ = sweep.scan_block(rank, rank + 1)
+                assert (won is not None) == (serial is not None), rank
+                assert selection == serial, rank
+                if serial is not None and first is None:
+                    first = (rank, serial)
+            won, selection, _, _ = sweep.scan_block(0, total)
+            assert (won, selection) == (first or (None, None))
