@@ -17,7 +17,6 @@ queries then run in O(n) (n = number of processes) or better.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Dict,
     Iterable,
@@ -85,8 +84,8 @@ class Computation:
         for send_id, recv_id in self._messages:
             self._sent_from.setdefault(send_id, []).append(recv_id)
             self._received_at.setdefault(recv_id, []).append(send_id)
-        self._clocks: Dict[EventId, VectorClock] = {}
-        self._compute_clocks()
+        # The clock table: _clk[p][i] is the component tuple of event (p, i).
+        self._clk: List[List[Tuple[int, ...]]] = self._compute_clocks()
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -185,9 +184,9 @@ class Computation:
 
     def clock(self, event_id: EventId) -> VectorClock:
         """The Fidge–Mattern vector clock of the event."""
-        if event_id not in self._clocks:
+        if not self.has_event(event_id):
             raise UnknownEventError(event_id)
-        return self._clocks[event_id]
+        return VectorClock(self._clk[event_id[0]][event_id[1]])
 
     # ------------------------------------------------------------------
     # Causality queries
@@ -201,17 +200,16 @@ class Computation:
         """
         if e == f:
             return False
-        if not self.has_event(e):
-            raise UnknownEventError(e)
-        if f not in self._clocks:
-            raise UnknownEventError(f)
+        for event_id in (e, f):
+            if not self.has_event(event_id):
+                raise UnknownEventError(event_id)
         # Initial events precede all non-initial events (paper, Section 2.1);
         # distinct initial events are incomparable.
         if e[1] == 0:
             return f[1] != 0
         if f[1] == 0:
             return False
-        return self._clocks[f][e[0]] >= e[1] + 1
+        return self._clk[f[0]][f[1]][e[0]] >= e[1] + 1
 
     def leq(self, e: EventId, f: EventId) -> bool:
         """Reflexive causal order: ``e == f`` or ``e`` precedes ``f``."""
@@ -253,8 +251,9 @@ class Computation:
         vector clock of ``e`` with every component clamped to at least 1
         (initial events belong to every cut).
         """
-        clk = self.clock(e)
-        return tuple(max(1, c) for c in clk)
+        if not self.has_event(e):
+            raise UnknownEventError(e)
+        return tuple(max(1, c) for c in self._clk[e[0]][e[1]])
 
     # ------------------------------------------------------------------
     # Structural classification (paper, Section 3.2)
@@ -322,69 +321,63 @@ class Computation:
                     f"{self.event(recv_id).kind.value}"
                 )
 
-    def _compute_clocks(self) -> None:
-        """One Kahn-style topological pass computing all vector clocks.
+    def _compute_clocks(self) -> List[List[Tuple[int, ...]]]:
+        """One Kahn-style topological pass computing the clock table.
 
         Each non-initial event depends on its local predecessor and on the
         send events of the messages it receives.  Initial events are given
         the clock with 1 in their own component; the running clock of each
         process starts at all-ones so that every non-initial event dominates
         every initial event, matching the paper's convention that initial
-        events precede all other events.
+        events precede all other events.  A process whose next event has
+        all its senders computed is ready; it runs until its next event
+        waits on a message.
         """
         n = self.num_processes
-        indegree: Dict[EventId, int] = {}
-        dependents: Dict[EventId, List[EventId]] = {}
-        for p, seq in enumerate(self._events):
-            for ev in seq[1:]:
-                eid = ev.event_id
-                deps = 1  # local predecessor (possibly the initial event)
-                for src in self._received_at.get(eid, ()):
-                    deps += 1
-                    dependents.setdefault(src, []).append(eid)
-                pred = (p, eid[1] - 1)
-                dependents.setdefault(pred, []).append(eid)
-                indegree[eid] = deps
-
-        # Initial events are sources.
-        ready: deque[EventId] = deque()
-        running: List[VectorClock] = []
-        ones = VectorClock((1,) * n)
-        for p, seq in enumerate(self._events):
-            init_id = seq[0].event_id
-            self._clocks[init_id] = VectorClock(
-                1 if j == p else 0 for j in range(n)
-            )
-            running.append(ones)
-            for dep in dependents.get(init_id, ()):
-                indegree[dep] -= 1
-                if indegree[dep] == 0:
-                    ready.append(dep)
+        lengths = [len(seq) for seq in self._events]
+        received_at = self._received_at
+        # Uncomputed senders per receive event.
+        waiting: Dict[EventId, int] = {
+            recv: len(sources) for recv, sources in received_at.items()
+        }
+        table: List[List[Tuple[int, ...]]] = [
+            [tuple(1 if j == p else 0 for j in range(n))] for p in range(n)
+        ]
         # The initial event's clock above is only its *identity* timestamp for
-        # comparisons among initial events; propagation uses ``running``.
-
+        # comparisons among initial events; propagation starts at all-ones.
+        ones = (1,) * n
+        ready = [
+            p for p in range(n) if lengths[p] > 1 and not waiting.get((p, 1))
+        ]
         processed = 0
-        per_process_clock: List[VectorClock] = list(running)
         while ready:
-            eid = ready.popleft()
-            p = eid[0]
-            clk = per_process_clock[p]
-            for src in self._received_at.get(eid, ()):
-                clk = clk.merge(self._clocks[src])
-            clk = clk.tick(p)
-            self._clocks[eid] = clk
-            per_process_clock[p] = clk
-            processed += 1
-            for dep in dependents.get(eid, ()):
-                indegree[dep] -= 1
-                if indegree[dep] == 0:
-                    ready.append(dep)
+            p = ready.pop()
+            rows = table[p]
+            i = len(rows)
+            clk = rows[-1] if i > 1 else ones
+            while True:
+                for sp, si in received_at.get((p, i), ()):
+                    clk = tuple(map(max, clk, table[sp][si]))
+                clk = clk[:p] + (clk[p] + 1,) + clk[p + 1 :]
+                rows.append(clk)
+                processed += 1
+                for recv in self._sent_from.get((p, i), ()):
+                    q = recv[0]
+                    waiting[recv] -= 1
+                    # Wake q if this receive is its next event; p itself
+                    # is still running.
+                    if not waiting[recv] and q != p and len(table[q]) == recv[1]:
+                        ready.append(q)
+                i += 1
+                if i == lengths[p] or waiting.get((p, i)):
+                    break
 
         if processed != self.total_events():
             raise CyclicComputationError(
                 "event dependencies contain a cycle; "
                 f"only {processed} of {self.total_events()} events orderable"
             )
+        return table
 
     # ------------------------------------------------------------------
     # Dunder conveniences

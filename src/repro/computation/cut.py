@@ -110,13 +110,14 @@ class Cut:
     # ------------------------------------------------------------------
     def is_consistent(self) -> bool:
         """True iff the cut is downward closed under happened-before."""
-        comp = self._computation
-        for p in range(comp.num_processes):
-            if self._frontier[p] == 1:
+        frontier = self._frontier
+        table = self._computation._clk
+        for p, c in enumerate(frontier):
+            if c == 1:
                 continue  # only the initial event; nothing to check
-            clk = comp.clock(self.last_event_id(p))
-            for q in range(comp.num_processes):
-                if clk[q] > self._frontier[q]:
+            clk = table[p][c - 1]
+            for q, have in enumerate(frontier):
+                if clk[q] > have:
                     return False
         return True
 
@@ -127,15 +128,13 @@ class Cut:
         ``process`` is *enabled* iff all its causal predecessors are already
         in the cut.
         """
-        comp = self._computation
+        rows = self._computation._clk[process]
         next_index = self._frontier[process]
-        if next_index >= len(comp.events_of(process)):
+        if next_index >= len(rows):
             return False
-        clk = comp.clock((process, next_index))
-        for q in range(comp.num_processes):
-            if q == process:
-                continue
-            if clk[q] > self._frontier[q]:
+        clk = rows[next_index]
+        for q, have in enumerate(self._frontier):
+            if q != process and clk[q] > have:
                 return False
         return True
 
@@ -172,20 +171,16 @@ class Cut:
         Removing the last event of process ``p`` keeps the cut consistent iff
         no other frontier event causally depends on it.
         """
-        comp = self._computation
-        for p in range(comp.num_processes):
-            if self._frontier[p] == 1:
+        frontier = self._frontier
+        table = self._computation._clk
+        for p, c in enumerate(frontier):
+            if c == 1:
                 continue
-            removed = self.last_event_id(p)
-            blocked = False
-            for q in range(comp.num_processes):
-                if q == p or self._frontier[q] == 1:
-                    continue
-                clk = comp.clock(self.last_event_id(q))
-                if clk[p] >= self._frontier[p]:
-                    blocked = True
-                    break
-            if not blocked:
+            if not any(
+                table[q][have - 1][p] >= c
+                for q, have in enumerate(frontier)
+                if q != p and have > 1
+            ):
                 yield self.retreat(p)
 
     def union(self, other: "Cut") -> "Cut":

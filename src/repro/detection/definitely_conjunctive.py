@@ -89,10 +89,10 @@ def _closure_at_least(
 ) -> Frontier:
     """Least consistent cut >= base with ``frontier[process] >= minimum``.
 
-    Delegates to the clock matrix's vectorized join fixpoint; the matrix
-    runs the identical pure-Python passes when numpy is unavailable.
+    Delegates to the causality index: the clock matrix's vectorized join
+    fixpoint with numpy, the clock table's closure without.
     """
-    return CausalityIndex.of(computation).matrix.closure_at_least(
+    return CausalityIndex.of(computation).closure_at_least(
         base, process, minimum
     )
 

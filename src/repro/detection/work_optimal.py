@@ -101,7 +101,6 @@ class CombinationSweep:
 
         self._np = np
         matrix = CausalityIndex.of(computation).matrix
-        assert matrix.use_numpy, "CombinationSweep requires numpy kernels"
         self._matrix = matrix
         self._m = len(per_group_chains)
         self._group_sizes = [len(chains) for chains in per_group_chains]

@@ -9,8 +9,10 @@ property is::
     e concurrent with f   <=>   neither vc(e) < vc(f) nor vc(f) < vc(e)
 
 Vector clocks are the workhorse of every detection algorithm in this library:
-they turn "did e happen before f?" into an O(n) comparison (O(1) with the
-two-component trick used in :meth:`VectorClock.precedes_event`).
+they turn "did e happen before f?" into an O(n) comparison.  For event
+clocks it is O(1): ``(p, i) ⊑ f`` iff ``vc(f)[p] >= i + 1``, which
+:meth:`repro.computation.Computation.happened_before` reads off the
+computation's clock table.
 """
 
 from __future__ import annotations
@@ -84,22 +86,6 @@ class VectorClock:
     def concurrent_with(self, other: "VectorClock") -> bool:
         """True iff the two clocks are incomparable (independent events)."""
         return not (self <= other) and not (other <= self)
-
-    def precedes_event(self, other: "VectorClock", other_process: int) -> bool:
-        """O(1) happened-before test against an *event* clock.
-
-        For event clocks produced by the standard algorithm, ``e -> f`` iff
-        ``vc(e)[p(e)] <= vc(f)[p(e)]`` and ``e != f``; callers that know the
-        process of ``other`` can use this constant-time form.  ``other_process``
-        is the process of the event timestamped by ``other`` (unused by the
-        comparison itself but kept for interface symmetry and validation).
-        """
-        self._check_dim(other)
-        if not 0 <= other_process < len(other):
-            raise ValueError("other_process out of range")
-        return self._components != other._components and all(
-            a <= b for a, b in zip(self._components, other._components)
-        )
 
     # ------------------------------------------------------------------
     # Construction of derived clocks

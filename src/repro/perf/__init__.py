@@ -3,9 +3,9 @@
 Three pieces, layered under :mod:`repro.detection`:
 
 * :class:`~repro.perf.causality.CausalityIndex` — per-computation
-  memoized causality queries (raw-clock ``leq`` fast path, precomputed
-  successor arrays, cached per-clause true events / chain covers /
-  orderedness verdicts);
+  memoized causality queries (``leq`` fast path and consistency closure
+  over the computation's shared clock table, cached per-clause true
+  events / chain covers / orderedness verdicts);
 * :class:`~repro.perf.interning.CutInterner` — one canonical ``Cut``
   per frontier tuple, so lattice walks track plain tuples;
 * :mod:`repro.perf.parallel` — a chunked ``multiprocessing`` driver for

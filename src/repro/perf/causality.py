@@ -1,21 +1,21 @@
 """Per-computation memoized causality index (the detection hot path).
 
 Every engine in :mod:`repro.detection` ultimately spends its time on the
-same three questions: *what is the local successor of this event*, *does
-this event causally precede that one*, and *which events make this clause
-true*.  The paper's Section 3.3 enumeration engines ask them once per
-CPDHB scan — and run up to ``prod c_j`` scans over the **same immutable
-computation**, re-deriving identical answers on every scan.
+same two questions: *does this event causally precede that one*, and
+*which events make this clause true*.  The paper's Section 3.3
+enumeration engines ask them once per CPDHB scan — and run up to
+``prod c_j`` scans over the **same immutable computation**, re-deriving
+identical answers on every scan.
 
-:class:`CausalityIndex` hoists those answers into flat per-computation
+:class:`CausalityIndex` hoists those answers into per-computation
 structures built once and shared by every scan (and, since the index is
 stored on the computation, by every query against the same computation):
 
-* raw vector-clock tuples (``_clk[p][i]``), giving a ``leq`` fast path
-  with no :class:`~repro.events.vector_clock.VectorClock` indirection and
-  no per-call id validation;
-* precomputed local-successor arrays (``successor`` becomes a list
-  lookup);
+* the computation's clock table itself (``_clk[p][i]`` is the component
+  tuple of event ``(p, i)``; the same object, not a copy), giving a
+  ``leq`` fast path with no per-call id validation;
+* the table's consistency closure (:meth:`consistency_closure`), shared
+  by the slicer's rounding and :meth:`closure_at_least`;
 * memoized per-clause true-event lists and minimum chain covers, so the
   process-choice/chain-choice engines and the auto dispatcher stop
   recomputing them;
@@ -24,6 +24,11 @@ stored on the computation, by every query against the same computation):
   (:meth:`successor_frontiers`), letting BFS engines track plain frontier
   tuples instead of constructing and re-hashing :class:`Cut` objects per
   edge.
+
+With numpy present, the batched entry points (:meth:`closure_at_least`,
+:meth:`successor_frontiers_batch`) run on the lazily built
+:class:`~repro.perf.clockmatrix.ClockMatrix`; without it they answer from
+the table, with identical results.
 
 Each index is stored on the computation it describes and refers back to
 it only weakly, so dropping the last reference to a computation frees
@@ -38,18 +43,20 @@ mirrored into the metrics registry as ``perf.*`` counters by
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.computation.chains import minimum_chain_cover
 from repro.computation.computation import Computation
 from repro.events import EventId
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
+from repro.perf.clockmatrix import HAVE_NUMPY
 
 __all__ = ["CausalityIndex"]
 
 #: Chains of a cover, as immutable event-id tuples.
 ChainCover = Tuple[Tuple[EventId, ...], ...]
+Frontier = Tuple[int, ...]
 
 #: Attribute under which a computation holds its index.
 _INDEX_ATTR = "_causality_index"
@@ -59,8 +66,7 @@ class CausalityIndex:
     """Flat, memoized causality structures for one immutable computation.
 
     Obtain through :meth:`of` (cached per computation) rather than the
-    constructor; building the index costs one pass over all events, and
-    the point is to pay it once.
+    constructor, so every query against a computation shares its caches.
     """
 
     __slots__ = (
@@ -68,7 +74,6 @@ class CausalityIndex:
         "num_processes",
         "_lengths",
         "_clk",
-        "_succ",
         "_true_on",
         "_true_all",
         "_covers",
@@ -86,26 +91,11 @@ class CausalityIndex:
 
     def __init__(self, computation: Computation):
         self._computation = weakref.ref(computation)
-        n = computation.num_processes
-        self.num_processes = n
-        lengths = [len(computation.events_of(p)) for p in range(n)]
-        self._lengths: List[int] = lengths
-        # Raw clock tuples: _clk[p][i] is the component tuple of event (p, i).
-        self._clk: List[List[Tuple[int, ...]]] = [
-            [
-                computation.clock((p, i)).components
-                for i in range(lengths[p])
-            ]
-            for p in range(n)
-        ]
-        # Local-successor array: _succ[p][i] is succ((p, i)) or None.
-        self._succ: List[List[Optional[EventId]]] = [
-            [
-                (p, i + 1) if i + 1 < lengths[p] else None
-                for i in range(lengths[p])
-            ]
-            for p in range(n)
-        ]
+        # The computation's clock table, shared: _clk[p][i] is the
+        # component tuple of event (p, i).
+        self._clk: List[List[Tuple[int, ...]]] = computation._clk
+        self.num_processes = computation.num_processes
+        self._lengths: List[int] = [len(rows) for rows in self._clk]
         self._true_on: Dict[object, Tuple[EventId, ...]] = {}
         self._true_all: Dict[object, Tuple[EventId, ...]] = {}
         self._covers: Dict[object, ChainCover] = {}
@@ -145,14 +135,6 @@ class CausalityIndex:
     # ------------------------------------------------------------------
     # Causality fast paths
     # ------------------------------------------------------------------
-    def successor(self, e: EventId) -> Optional[EventId]:
-        """Local successor ``succ(e)`` or None, as a list lookup."""
-        return self._succ[e[0]][e[1]]
-
-    def clock_tuple(self, e: EventId) -> Tuple[int, ...]:
-        """The raw Fidge–Mattern component tuple of ``e``."""
-        return self._clk[e[0]][e[1]]
-
     def happened_before(self, e: EventId, f: EventId) -> bool:
         """Irreflexive causal order, without per-call id validation."""
         if e == f:
@@ -174,28 +156,6 @@ class CausalityIndex:
         if f[1] == 0:
             return False
         return self._clk[f[0]][f[1]][e[0]] > ei
-
-    def concurrent(self, e: EventId, f: EventId) -> bool:
-        """True iff the events are incomparable."""
-        return (
-            e != f
-            and not self.happened_before(e, f)
-            and not self.happened_before(f, e)
-        )
-
-    def pairwise_consistent(self, e: EventId, f: EventId) -> bool:
-        """Some consistent cut passes through both events (Section 2.2)."""
-        if e == f:
-            return True
-        if e[0] == f[0]:
-            return False
-        succ_e = self._succ[e[0]][e[1]]
-        if succ_e is not None and self.leq(succ_e, f):
-            return False
-        succ_f = self._succ[f[0]][f[1]]
-        if succ_f is not None and self.leq(succ_f, e):
-            return False
-        return True
 
     def successor_frontiers(
         self, frontier: Tuple[int, ...]
@@ -233,11 +193,46 @@ class CausalityIndex:
         kernel when numpy is active and the batch is worth one array
         round trip.
         """
-        if len(frontiers) >= 4:
-            matrix = self.matrix
-            if matrix.use_numpy:
-                return matrix.successor_frontiers_batch(frontiers)
+        if HAVE_NUMPY and len(frontiers) >= 4:
+            return self.matrix.successor_frontiers_batch(frontiers)
         return [self.successor_frontiers(f) for f in frontiers]
+
+    # ------------------------------------------------------------------
+    # Consistency closure
+    # ------------------------------------------------------------------
+    def consistency_closure(self, frontier: List[int]) -> List[int]:
+        """Raise ``frontier`` in place to its least consistent cut.
+
+        Joins the clocks of the frontier events into the frontier until
+        nothing changes (initial events add nothing beyond their own unit
+        component, so they are skipped).  Returns ``frontier``.
+        """
+        clk_all = self._clk
+        stable = False
+        while not stable:
+            stable = True
+            for p, c in enumerate(frontier):
+                if c == 1:
+                    continue
+                for q, have in enumerate(clk_all[p][c - 1]):
+                    if have > frontier[q]:
+                        frontier[q] = have
+                        stable = False
+        return frontier
+
+    def closure_at_least(
+        self, base: Frontier, process: int, minimum: int
+    ) -> Frontier:
+        """Least consistent frontier >= base with ``f[process] >= minimum``.
+
+        The clock matrix's vectorized fixpoint when numpy is present,
+        :meth:`consistency_closure` on the table otherwise.
+        """
+        if HAVE_NUMPY:
+            return self.matrix.closure_at_least(base, process, minimum)
+        frontier = list(base)
+        frontier[process] = max(frontier[process], minimum)
+        return tuple(self.consistency_closure(frontier))
 
     # ------------------------------------------------------------------
     # Per-clause memoization (singular k-CNF engines)
@@ -350,13 +345,13 @@ class CausalityIndex:
     def matrix(self):
         """The computation's shared :class:`~repro.perf.clockmatrix.ClockMatrix`.
 
-        Built lazily from the raw clock table; pure-Python kernels when
-        numpy is unavailable (callers never branch on the backend).
+        Built lazily from the clock table.  Needs numpy: callers reach it
+        only when :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.
         """
         if self._matrix is None:
             from repro.perf.clockmatrix import ClockMatrix
 
-            self._matrix = ClockMatrix(self._clk, self._lengths)
+            self._matrix = ClockMatrix(self._clk)
         return self._matrix
 
     # ------------------------------------------------------------------

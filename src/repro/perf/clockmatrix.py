@@ -1,4 +1,4 @@
-"""Struct-of-arrays vector-clock matrix with batched causality kernels.
+"""Dense numpy copy of the clock table with batched causality kernels.
 
 Every hot comparison in the detection engines reduces to reading one
 component of one Fidge–Mattern clock: with the repo's clock convention
@@ -8,42 +8,35 @@ no initial-event special cases,
 
     ``e = (p, i) ⊑ f``   ⟺   ``clk(f)[p] >= i + 1``
 
-and Section 2.2 pairwise consistency of ``e = (p, i)`` and ``f = (q, j)``
-is
+The computation's clock table (``Computation._clk``, shared by
+:class:`~repro.perf.causality.CausalityIndex`) answers single reads
+fastest.  :class:`ClockMatrix` is a derived copy of that table as one
+dense ``(total_events, n)`` ``int64`` matrix — rows in process-major
+order — for the kernels that compare many clocks at once:
 
-    ``clk(f)[p] <= i + 1``  ∧  ``clk(e)[q] <= j + 1``
-
-(again with no edge cases: a last event can never be overtaken because no
-clock component exceeds the process length, and same-process pairs reduce
-to index equality).
-
-:class:`ClockMatrix` stores **all** clocks of a computation in one dense
-``(total_events, n)`` integer matrix — rows in process-major order, plus
-flat per-row ``proc``/``pos`` arrays (``pos`` is the own-component
-``i + 1``) — so those formulas become *batched* array expressions instead
-of per-pair Python calls:
-
-* :meth:`leq_rows` / :meth:`happened_before_rows` — element-wise causal
-  order over row vectors;
-* :meth:`consistent_rows` — element-wise pairwise consistency;
 * :meth:`advance_enabled` / :meth:`successor_frontiers_batch` — the
   frontier-consistency kernel: which processes may advance from each of a
   batch of consistent frontiers (the inner loop of every lattice walk);
 * :meth:`closure_at_least` — least consistent cut above a frontier with a
-  per-process floor, as a vectorized fixpoint.
+  per-process floor, as a vectorized fixpoint;
+* the batched combination sweep
+  (:class:`~repro.detection.work_optimal.CombinationSweep`), which reads
+  :attr:`ClockMatrix.clk` directly.
 
-When numpy is unavailable (or ``REPRO_NO_NUMPY`` is set) every kernel
-falls back to pure-Python loops over the same flat arrays, bit-identical
-by construction; callers never branch.  Obtain the matrix through
-:attr:`repro.perf.causality.CausalityIndex.matrix` so it is built once
-per computation; kernel usage is tallied in :attr:`counters` and mirrored
-to ``perf.clockmatrix.*`` metrics by the index.
+The matrix needs numpy.  When numpy is unavailable (or
+``REPRO_NO_NUMPY`` is set) :data:`HAVE_NUMPY` is False and nobody builds
+one: the index answers the same questions from the table.  Obtain the
+matrix through :attr:`repro.perf.causality.CausalityIndex.matrix` so it
+is built once per computation; kernel usage is tallied in
+:attr:`counters` and mirrored to ``perf.clockmatrix.*`` metrics by the
+index.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Sequence, Tuple
+from itertools import accumulate
+from typing import List, Sequence, Tuple
 
 __all__ = ["ClockMatrix", "numpy_available", "HAVE_NUMPY"]
 
@@ -71,65 +64,25 @@ class ClockMatrix:
 
     Args:
         clocks: ``clocks[p][i]`` is the component tuple of event ``(p, i)``
-            (exactly the raw-clock table of
-            :class:`~repro.perf.causality.CausalityIndex`).
-        lengths: Events per process, initial event included.
-        use_numpy: Force the pure-Python kernels with ``False``; default
-            follows :func:`numpy_available`.
+            (the computation's clock table).
     """
 
     __slots__ = (
         "num_processes",
         "lengths",
         "offsets",
-        "total_rows",
-        "use_numpy",
         "clk",
-        "proc",
-        "pos",
         "counters",
     )
 
-    def __init__(
-        self,
-        clocks: Sequence[Sequence[Tuple[int, ...]]],
-        lengths: Sequence[int],
-        use_numpy: Optional[bool] = None,
-    ):
-        n = len(lengths)
-        self.num_processes = n
-        self.lengths: List[int] = list(lengths)
-        offsets: List[int] = []
-        total = 0
-        for length in self.lengths:
-            offsets.append(total)
-            total += length
-        self.offsets = offsets
-        self.total_rows = total
-        self.use_numpy = HAVE_NUMPY if use_numpy is None else bool(use_numpy)
+    def __init__(self, clocks: Sequence[Sequence[Tuple[int, ...]]]):
+        self.num_processes = len(clocks)
+        self.lengths: List[int] = [len(rows) for rows in clocks]
+        self.offsets: List[int] = [0, *accumulate(self.lengths[:-1])]
+        self.clk = _np.array(
+            [row for rows in clocks for row in rows], dtype=_np.int64
+        )
         self.counters = {"batch_calls": 0, "rows": 0}
-        flat_proc: List[int] = []
-        flat_pos: List[int] = []
-        for p, length in enumerate(self.lengths):
-            flat_proc.extend([p] * length)
-            flat_pos.extend(range(1, length + 1))
-        if self.use_numpy:
-            matrix = _np.empty((total, n), dtype=_np.int64)
-            for p in range(n):
-                base = offsets[p]
-                for i, components in enumerate(clocks[p]):
-                    matrix[base + i] = components
-            self.clk = matrix
-            self.proc = _np.asarray(flat_proc, dtype=_np.int64)
-            self.pos = _np.asarray(flat_pos, dtype=_np.int64)
-        else:
-            self.clk = [
-                tuple(clocks[p][i])
-                for p in range(n)
-                for i in range(self.lengths[p])
-            ]
-            self.proc = flat_proc
-            self.pos = flat_pos
 
     # ------------------------------------------------------------------
     # Row addressing
@@ -143,48 +96,6 @@ class ClockMatrix:
         self.counters["rows"] += rows
 
     # ------------------------------------------------------------------
-    # Pairwise kernels (element-wise over equal-length row vectors)
-    # ------------------------------------------------------------------
-    def leq_rows(self, rows_a, rows_b):
-        """Element-wise reflexive causal order ``a[k] ⊑ b[k]``."""
-        if self.use_numpy:
-            a = _np.asarray(rows_a, dtype=_np.int64)
-            b = _np.asarray(rows_b, dtype=_np.int64)
-            self._tally(a.size)
-            return self.clk[b, self.proc[a]] >= self.pos[a]
-        self._tally(len(rows_a))
-        clk, proc, pos = self.clk, self.proc, self.pos
-        return [
-            clk[rb][proc[ra]] >= pos[ra] for ra, rb in zip(rows_a, rows_b)
-        ]
-
-    def happened_before_rows(self, rows_a, rows_b):
-        """Element-wise irreflexive causal order ``a[k] → b[k]``."""
-        if self.use_numpy:
-            a = _np.asarray(rows_a, dtype=_np.int64)
-            b = _np.asarray(rows_b, dtype=_np.int64)
-            return self.leq_rows(a, b) & (a != b)
-        leq = self.leq_rows(rows_a, rows_b)
-        return [
-            ok and ra != rb for ok, ra, rb in zip(leq, rows_a, rows_b)
-        ]
-
-    def consistent_rows(self, rows_a, rows_b):
-        """Element-wise pairwise consistency (Section 2.2)."""
-        if self.use_numpy:
-            a = _np.asarray(rows_a, dtype=_np.int64)
-            b = _np.asarray(rows_b, dtype=_np.int64)
-            self._tally(a.size)
-            clk, proc, pos = self.clk, self.proc, self.pos
-            return (clk[b, proc[a]] <= pos[a]) & (clk[a, proc[b]] <= pos[b])
-        self._tally(len(rows_a))
-        clk, proc, pos = self.clk, self.proc, self.pos
-        return [
-            clk[rb][proc[ra]] <= pos[ra] and clk[ra][proc[rb]] <= pos[rb]
-            for ra, rb in zip(rows_a, rows_b)
-        ]
-
-    # ------------------------------------------------------------------
     # Frontier-consistency kernel (lattice walks)
     # ------------------------------------------------------------------
     def advance_enabled(self, frontiers: Sequence[Frontier]):
@@ -195,41 +106,18 @@ class ClockMatrix:
         it yields a consistent frontier again (the next event's clock is
         covered on every *other* component).
         """
-        n = self.num_processes
-        if self.use_numpy:
-            F = _np.asarray(frontiers, dtype=_np.int64)
-            self._tally(F.shape[0] * n)
-            enabled = _np.zeros(F.shape, dtype=bool)
-            for p in range(n):
-                exists = F[:, p] < self.lengths[p]
-                if not exists.any():
-                    continue
-                rows = self.offsets[p] + _np.minimum(
-                    F[:, p], self.lengths[p] - 1
-                )
-                covered = self.clk[rows] <= F
-                covered[:, p] = True
-                enabled[:, p] = exists & covered.all(axis=1)
-            return enabled
-        self._tally(len(frontiers) * n)
-        out = []
-        for frontier in frontiers:
-            row_flags = []
-            for p in range(n):
-                nxt = frontier[p]
-                if nxt >= self.lengths[p]:
-                    row_flags.append(False)
-                    continue
-                clock = self.clk[self.offsets[p] + nxt]
-                row_flags.append(
-                    all(
-                        clock[q] <= frontier[q]
-                        for q in range(n)
-                        if q != p
-                    )
-                )
-            out.append(row_flags)
-        return out
+        F = _np.asarray(frontiers, dtype=_np.int64)
+        self._tally(F.shape[0] * self.num_processes)
+        enabled = _np.zeros(F.shape, dtype=bool)
+        for p in range(self.num_processes):
+            exists = F[:, p] < self.lengths[p]
+            if not exists.any():
+                continue
+            rows = self.offsets[p] + _np.minimum(F[:, p], self.lengths[p] - 1)
+            covered = self.clk[rows] <= F
+            covered[:, p] = True
+            enabled[:, p] = exists & covered.all(axis=1)
+        return enabled
 
     def successor_frontiers_batch(
         self, frontiers: Sequence[Frontier]
@@ -265,22 +153,6 @@ class ClockMatrix:
         events into the frontier itself (initial events contribute nothing
         beyond their own unit component, so no rows are skipped).
         """
-        if not self.use_numpy:
-            frontier = list(base)
-            if frontier[process] < minimum:
-                frontier[process] = minimum
-            clk, offsets = self.clk, self.offsets
-            n = self.num_processes
-            changed = True
-            while changed:
-                changed = False
-                for p in range(n):
-                    clock = clk[offsets[p] + frontier[p] - 1]
-                    for q in range(n):
-                        if clock[q] > frontier[q]:
-                            frontier[q] = clock[q]
-                            changed = True
-            return tuple(frontier)
         frontier = _np.asarray(base, dtype=_np.int64).copy()
         if frontier[process] < minimum:
             frontier[process] = minimum
@@ -294,8 +166,7 @@ class ClockMatrix:
             frontier = merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        backend = "numpy" if self.use_numpy else "python"
         return (
             f"ClockMatrix(processes={self.num_processes}, "
-            f"rows={self.total_rows}, backend={backend})"
+            f"rows={len(self.clk)})"
         )

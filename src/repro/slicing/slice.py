@@ -22,7 +22,8 @@ slicing line of work that grew out of this paper (Mittal & Garg).
   filtering the full lattice when B is selective).
 
 The hot paths lean on :class:`~repro.perf.causality.CausalityIndex`: the
-rounding closures read raw vector-clock tuples, enumeration tracks plain
+rounding closures read the computation's clock table (rounding up through
+the index's shared consistency closure), enumeration tracks plain
 frontier tuples in its visited set (no per-cut ``Cut`` retention), and
 yielded cuts come out of the computation's shared
 :class:`~repro.perf.interning.CutInterner`.  Rounding steps locate true
@@ -106,33 +107,28 @@ class ConjunctiveSlice:
         frontier = self._round_up_frontier(list(cut.frontier))
         if frontier is None:
             return None
+        return self._checked_cut(frontier)
+
+    def _checked_cut(self, frontier: Frontier) -> Cut:
+        """The interned cut of a rounding fixpoint, checked explicitly.
+
+        Raises rather than asserts, so the check survives ``python -O``.
+        """
         result = self._index.interner.get(frontier)
-        assert result.is_consistent()
+        if not result.is_consistent():
+            raise AssertionError("rounding fixpoint must be consistent")
         if not self._pred.evaluate(result):  # pragma: no cover - invariant
             raise AssertionError("rounding fixpoint must satisfy the predicate")
         return result
 
     def _round_up_frontier(self, frontier: List[int]) -> Optional[Frontier]:
         """Tuple-level :meth:`round_up`: mutates ``frontier``, no ``Cut``."""
-        n = self._index.num_processes
-        clk_all = self._index._clk
         changed = True
         while changed:
             changed = False
             # Consistency closure first (the widened-contract guarantee):
-            # include causal pasts of frontier events, via raw clock rows.
-            stable = False
-            while not stable:
-                stable = True
-                for p in range(n):
-                    if frontier[p] == 1:
-                        continue
-                    clk = clk_all[p][frontier[p] - 1]
-                    for q in range(n):
-                        if clk[q] > frontier[q]:
-                            frontier[q] = clk[q]
-                            stable = False
-                            changed = True
+            # include causal pasts of frontier events.
+            self._index.consistency_closure(frontier)
             # Predicate closure: land every constrained frontier on a true
             # event at or after its current position (bisect, not a scan).
             for p, indices in self._true_indices.items():
@@ -215,11 +211,7 @@ class ConjunctiveSlice:
         frontier = self._round_down_frontier(list(cut.frontier))
         if frontier is None:
             return None
-        result = self._index.interner.get(frontier)
-        assert result.is_consistent()
-        if not self._pred.evaluate(result):  # pragma: no cover - invariant
-            raise AssertionError("rounding fixpoint must satisfy the predicate")
-        return result
+        return self._checked_cut(frontier)
 
     def _round_down_frontier(self, frontier: List[int]) -> Optional[Frontier]:
         """Tuple-level :meth:`round_down`: mutates ``frontier``, no ``Cut``."""

@@ -348,48 +348,49 @@ def _build_default() -> OracleRegistry:
     def run_clockmatrix_roundtrip(
         comp: Computation, pred: GlobalPredicate
     ) -> bool:
-        """Exhaustively cross-check the batched ClockMatrix kernels
-        against the per-pair causality index on every event pair and
-        every consistent frontier, then return the CPDHB verdict.  Any
-        divergence raises — a crash finding for the fuzzer."""
-        from repro.computation import initial_cut
+        """Walk every consistent frontier and cross-check the clock
+        matrix's batched kernels against the clock table: successor
+        frontiers, and the consistency closure of each one-process
+        advance (which must be consistent, and the advance itself when
+        that is already consistent).  The matrix is only built when numpy
+        is present.  Then return the CPDHB verdict.  Any divergence
+        raises — a crash finding for the fuzzer."""
+        from repro.computation import Cut, initial_cut
         from repro.perf.causality import CausalityIndex
+        from repro.perf.clockmatrix import numpy_available
 
         index = CausalityIndex.of(comp)
-        matrix = index.matrix
-        events = [
-            (p, i)
-            for p in range(comp.num_processes)
-            for i in range(len(comp.events_of(p)))
-        ]
-        rows = [matrix.row(e) for e in events]
-        flat_a = [ra for ra in rows for _ in rows]
-        flat_b = [rb for _ in rows for rb in rows]
-        ev_a = [ea for ea in events for _ in events]
-        ev_b = [eb for _ in events for eb in events]
-        leq = matrix.leq_rows(flat_a, flat_b)
-        before = matrix.happened_before_rows(flat_a, flat_b)
-        cons = matrix.consistent_rows(flat_a, flat_b)
-        for k, (ea, eb) in enumerate(zip(ev_a, ev_b)):
-            assert bool(leq[k]) == index.leq(ea, eb), (
-                f"leq_rows diverges on {ea} vs {eb}"
-            )
-            assert bool(before[k]) == index.happened_before(ea, eb), (
-                f"happened_before_rows diverges on {ea} vs {eb}"
-            )
-            assert bool(cons[k]) == index.pairwise_consistent(ea, eb), (
-                f"consistent_rows diverges on {ea} vs {eb}"
-            )
+        matrix = index.matrix if numpy_available() else None
+        lengths = [len(comp.events_of(p)) for p in range(comp.num_processes)]
         start = initial_cut(comp).frontier
         seen = {start}
         wave = [start]
         while wave:
-            batched = matrix.successor_frontiers_batch(wave)
+            per_item = [index.successor_frontiers(f) for f in wave]
+            if matrix is not None:
+                assert matrix.successor_frontiers_batch(wave) == per_item, (
+                    f"successor batch diverges on the wave from {wave[0]}"
+                )
             nxt_wave = []
-            for frontier, successors in zip(wave, batched):
-                assert list(successors) == list(
-                    index.successor_frontiers(frontier)
-                ), f"successor batch diverges at {frontier}"
+            for frontier, successors in zip(wave, per_item):
+                for p, length in enumerate(lengths):
+                    if frontier[p] == length:
+                        continue
+                    raised = list(frontier)
+                    raised[p] += 1
+                    bumped = tuple(raised)
+                    closure = tuple(index.consistency_closure(raised))
+                    assert Cut(comp, closure).is_consistent(), (
+                        f"closure of {bumped} is inconsistent"
+                    )
+                    if bumped in successors:
+                        assert closure == bumped, (
+                            f"closure moved consistent {bumped}"
+                        )
+                    if matrix is not None:
+                        assert matrix.closure_at_least(
+                            frontier, p, bumped[p]
+                        ) == closure, f"closure diverges at {bumped}"
                 for nxt in successors:
                     if nxt not in seen:
                         seen.add(nxt)

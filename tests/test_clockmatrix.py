@@ -1,33 +1,30 @@
-"""Property tests: the batched ClockMatrix kernels are bit-identical to
-the per-pair causality primitives.
+"""Property tests: the clock table's readers and the numpy clock matrix
+agree with each other and with per-pair vector-clock comparisons.
 
-Every kernel — ``leq_rows``, ``happened_before_rows``,
-``consistent_rows``, ``successor_frontiers_batch``, ``closure_at_least``
-— is checked element-wise against ``VectorClock.__le__`` /
-``CausalityIndex`` on arbitrary generated computations *and* on
-simulator traces with crash/restart epochs, for both the numpy and the
-pure-Python backend.
+The index's pairwise kernels (``leq`` / ``happened_before``, read off the
+shared clock table) are checked against ``VectorClock`` order; the
+batched entry points (``successor_frontiers_batch``, ``closure_at_least``)
+against the per-frontier table answers and a brute-force least cut; and,
+when numpy is present, the matrix kernels against the table.  Inputs are
+arbitrary generated computations *and* simulator traces with
+crash/restart epochs.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.computation import initial_cut
+from repro.computation import initial_cut, iter_consistent_cuts
 from repro.detection import detect
 from repro.perf.causality import CausalityIndex
-from repro.perf.clockmatrix import ClockMatrix, numpy_available
+from repro.perf.clockmatrix import numpy_available
 from repro.predicates import Modality, conjunctive, disjunction, local
 from repro.predicates.errors import UnsupportedPredicateError
 from repro.simulation import CrashSpec, FaultPlan
 from repro.simulation.protocols import build_token_ring
 from repro.trace.generator import BoolVar, random_computation
-
-BACKENDS = [True, False] if numpy_available() else [False]
 
 
 def computations():
@@ -69,49 +66,33 @@ def all_events(comp):
     ]
 
 
-def matrices(comp):
-    """The computation's matrix in every backend under test."""
-    index = CausalityIndex.of(comp)
-    out = []
-    for use_numpy in BACKENDS:
-        out.append(
-            ClockMatrix(index._clk, index._lengths, use_numpy=use_numpy)
-        )
-    return index, out
-
-
 def assert_pairwise_parity(comp):
-    index, mats = matrices(comp)
+    index = CausalityIndex.of(comp)
     events = all_events(comp)
-    pairs = list(itertools.product(events, events))
-    ev_a = [a for a, _ in pairs]
-    ev_b = [b for _, b in pairs]
-    for matrix in mats:
-        rows_a = [matrix.row(e) for e in ev_a]
-        rows_b = [matrix.row(e) for e in ev_b]
-        leq = matrix.leq_rows(rows_a, rows_b)
-        before = matrix.happened_before_rows(rows_a, rows_b)
-        cons = matrix.consistent_rows(rows_a, rows_b)
-        for k, (a, b) in enumerate(pairs):
-            clock_leq = comp.clock(a) <= comp.clock(b)
+    for a in events:
+        for b in events:
             # VectorClock order is the causal order for distinct events;
-            # the row kernel must also agree with the reflexive index.
-            assert bool(leq[k]) == index.leq(a, b)
+            # the table kernels must also agree with the validated queries.
+            assert index.leq(a, b) == comp.leq(a, b)
             if a != b:
-                assert bool(leq[k]) == clock_leq
-            assert bool(before[k]) == index.happened_before(a, b)
-            assert bool(cons[k]) == index.pairwise_consistent(a, b)
+                assert index.leq(a, b) == (comp.clock(a) <= comp.clock(b))
+            assert index.happened_before(a, b) == comp.happened_before(a, b)
+    if numpy_available():
+        matrix = index.matrix
+        for e in events:
+            assert tuple(matrix.clk[matrix.row(e)]) == index._clk[e[0]][e[1]]
 
 
 def assert_frontier_parity(comp):
-    index, mats = matrices(comp)
+    index = CausalityIndex.of(comp)
     start = initial_cut(comp).frontier
     seen = {start}
     wave = [start]
     while wave:
         per_item = [list(index.successor_frontiers(f)) for f in wave]
-        for matrix in mats:
-            assert matrix.successor_frontiers_batch(wave) == per_item
+        assert index.successor_frontiers_batch(wave) == per_item
+        if numpy_available():
+            assert index.matrix.successor_frontiers_batch(wave) == per_item
         wave = sorted(
             {nxt for succ in per_item for nxt in succ} - seen
         )
@@ -138,24 +119,36 @@ class TestKernelParity:
 
     @settings(max_examples=25, deadline=None)
     @given(computations(), st.data())
-    def test_closure_at_least_backends_agree(self, comp, data):
-        index, mats = matrices(comp)
-        start = initial_cut(comp).frontier
-        process = data.draw(
-            st.integers(0, comp.num_processes - 1), label="process"
+    def test_closure_at_least_matrix_matches_table(self, comp, data):
+        index = CausalityIndex.of(comp)
+        n = comp.num_processes
+        start = tuple(
+            data.draw(st.integers(1, len(comp.events_of(p))), label="start")
+            for p in range(n)
         )
+        process = data.draw(st.integers(0, n - 1), label="process")
         minimum = data.draw(
             st.integers(1, len(comp.events_of(process))), label="minimum"
         )
-        results = {
-            matrix.closure_at_least(start, process, minimum)
-            for matrix in mats
-        }
-        assert len(results) == 1
-        closure = results.pop()
-        assert closure[process] >= minimum
-        assert all(c >= s for c, s in zip(closure, start))
-        assert index.interner.get(closure).is_consistent()
+        # Consistent cuts are closed under meet, so the least one above
+        # the floor is the componentwise minimum of all of them.
+        above = [
+            cut.frontier
+            for cut in iter_consistent_cuts(comp)
+            if all(c >= s for c, s in zip(cut.frontier, start))
+            and cut.frontier[process] >= minimum
+        ]
+        expected = tuple(min(column) for column in zip(*above))
+        assert expected in above
+        raised = list(start)
+        raised[process] = max(raised[process], minimum)
+        assert tuple(index.consistency_closure(raised)) == expected
+        assert index.closure_at_least(start, process, minimum) == expected
+        if numpy_available():
+            assert (
+                index.matrix.closure_at_least(start, process, minimum)
+                == expected
+            )
 
 
 class TestStrictEngineMode:

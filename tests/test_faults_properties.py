@@ -15,11 +15,15 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.computation import some_linearization
+from repro.computation import ComputationBuilder, some_linearization
 from repro.events import VectorClock
 from repro.simulation import CrashSpec, DelaySpike, FaultPlan
 from repro.simulation.protocols import build_lock_scenario, build_token_ring
-from repro.trace import computation_from_dict, computation_to_dict
+from repro.trace import (
+    computation_from_dict,
+    computation_to_dict,
+    random_computation,
+)
 
 
 def naive_clocks(comp):
@@ -67,6 +71,34 @@ def assert_roundtrips(comp):
     assert json.dumps(computation_to_dict(restored), sort_keys=True) == blob
 
 
+@st.composite
+def multi_receive_computations(draw):
+    """Builder-made computations whose receive and send-receive events
+    consume any subset of the messages pending for their process."""
+    n = draw(st.integers(2, 4))
+    builder = ComputationBuilder(n)
+    pending = [[] for _ in range(n)]  # send ids addressed to each process
+    for _ in range(draw(st.integers(0, 16))):
+        p = draw(st.integers(0, n - 1))
+        sends = draw(st.booleans())
+        taken = [src for src in pending[p] if draw(st.booleans())]
+        if taken and sends:
+            eid = builder.send_receive(p)
+        elif taken:
+            eid = builder.receive(p)
+        elif sends:
+            eid = builder.send(p)
+        else:
+            eid = builder.internal(p)
+        for src in taken:
+            builder.message(src, eid)
+            pending[p].remove(src)
+        if sends:
+            q = draw(st.integers(0, n - 2))
+            pending[q + (q >= p)].append(eid)
+    return builder.build()
+
+
 plans = st.builds(
     FaultPlan,
     seed=st.integers(0, 2**20),
@@ -82,6 +114,27 @@ plans = st.builds(
         ),
     ),
 )
+
+
+class TestClockPassMatchesReference:
+    """The clock pass against the naive relabeling on non-simulator shapes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 6),
+        st.floats(0.0, 0.9),
+        st.integers(0, 100_000),
+    )
+    def test_random_computations(self, n, events, density, seed):
+        assert_causally_consistent(
+            random_computation(n, events, density, seed=seed)
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_receive_computations())
+    def test_multi_receive_builder_computations(self, comp):
+        assert_causally_consistent(comp)
 
 
 class TestLossDuplicationConsistency:

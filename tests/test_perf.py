@@ -19,6 +19,7 @@ from repro.computation import Cut, initial_cut, iter_consistent_cuts
 from repro.detection import detect_conjunctive, detect_singular
 from repro.obs import Capture
 from repro.perf.causality import CausalityIndex
+from repro.perf.clockmatrix import numpy_available
 from repro.perf.interning import CutInterner
 from repro.perf.parallel import (
     combination_at,
@@ -59,18 +60,16 @@ class TestCausalityIndex:
     @given(random_comp)
     def test_matches_computation_queries(self, comp):
         index = CausalityIndex.of(comp)
+        # The index shares the computation's clock table; it keeps no copy.
+        assert index._clk is comp._clk
         ids = _all_event_ids(comp)
         for e in ids:
-            assert index.successor(e) == comp.successor(e)
-            assert index.clock_tuple(e) == comp.clock(e).components
+            assert index._clk[e[0]][e[1]] == comp.clock(e).components
             for f in ids:
                 assert index.happened_before(e, f) == comp.happened_before(
                     e, f
                 )
                 assert index.leq(e, f) == comp.leq(e, f)
-                assert index.pairwise_consistent(
-                    e, f
-                ) == comp.pairwise_consistent(e, f)
 
     @settings(max_examples=30, deadline=None)
     @given(random_comp)
@@ -131,7 +130,8 @@ class TestCausalityIndex:
         try:
             comp = load_computation(str(path))
             index = CausalityIndex.of(comp)
-            index.matrix
+            if numpy_available():
+                index.matrix
             detect_conjunctive(comp, pred)
             refs = [weakref.ref(comp), weakref.ref(index)]
             del comp, index
@@ -140,7 +140,8 @@ class TestCausalityIndex:
             gc.enable()
 
     def test_indexed_computation_pickles(self, figure2):
-        CausalityIndex.of(figure2).matrix
+        if numpy_available():
+            CausalityIndex.of(figure2).matrix
         copy = pickle.loads(pickle.dumps(figure2))
         assert CausalityIndex.of(copy) is not CausalityIndex.of(figure2)
         assert CausalityIndex.of(copy)._clk == CausalityIndex.of(figure2)._clk

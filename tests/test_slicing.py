@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import all_consistent_cuts
-from repro.computation import Cut, final_cut, initial_cut
+from repro.computation import ComputationBuilder, Cut, final_cut, initial_cut
+from repro.perf import CausalityIndex
 from repro.predicates import conjunctive, local
 from repro.slicing import ConjunctiveSlice
 from repro.trace import BoolVar, random_computation
@@ -92,6 +93,23 @@ class TestRounding:
                 for c in below[1:]:
                     expected = expected.union(c)
                 assert rounded == expected
+
+
+    def test_inconsistent_fixpoint_raises(self, monkeypatch):
+        """The fixpoint's consistency check is an explicit raise, so it
+        also runs under ``python -O``."""
+        builder = ComputationBuilder(2)
+        send = builder.send(0)
+        builder.message(send, builder.receive(1, x=True))
+        comp = builder.build()
+        slc = ConjunctiveSlice(comp, conjunctive(local(1, "x")))
+        assert slc.round_up(initial_cut(comp)).frontier == (2, 2)
+        # Without the closure the rounding lands on the receive alone.
+        monkeypatch.setattr(
+            CausalityIndex, "consistency_closure", lambda self, f: f
+        )
+        with pytest.raises(AssertionError, match="must be consistent"):
+            slc.round_up(initial_cut(comp))
 
 
 class TestEnumeration:

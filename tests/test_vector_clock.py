@@ -97,15 +97,6 @@ class TestDerivation:
         with pytest.raises(ValueError):
             VectorClock.join([])
 
-    def test_precedes_event_matches_lt(self):
-        a, b = VectorClock([1, 1]), VectorClock([1, 2])
-        assert a.precedes_event(b, other_process=1)
-        assert not b.precedes_event(a, other_process=0)
-
-    def test_precedes_event_validates_process(self):
-        with pytest.raises(ValueError):
-            VectorClock([1, 1]).precedes_event(VectorClock([1, 2]), 5)
-
 
 class TestProperties:
     @given(clock_components)
