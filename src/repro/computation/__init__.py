@@ -25,13 +25,12 @@ from repro.computation.reverse import (
     reverse_event_partner,
 )
 from repro.computation.lattice import (
+    LevelWalk,
     count_consistent_cuts,
-    find_path,
     iter_consistent_cuts,
     iter_levels,
     iter_linearizations,
     lattice_width,
-    reachable_avoiding,
     some_linearization,
 )
 
@@ -43,11 +42,11 @@ __all__ = [
     "CyclicComputationError",
     "HopcroftKarp",
     "InvalidCutError",
+    "LevelWalk",
     "MessageEdge",
     "UnknownEventError",
     "count_consistent_cuts",
     "final_cut",
-    "find_path",
     "greedy_chain_cover",
     "initial_cut",
     "iter_consistent_cuts",
@@ -56,7 +55,6 @@ __all__ = [
     "lattice_width",
     "least_consistent_cut",
     "minimum_chain_cover",
-    "reachable_avoiding",
     "reverse_computation",
     "reverse_event_id",
     "reverse_event_partner",

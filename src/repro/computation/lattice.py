@@ -5,39 +5,98 @@ distributive lattice whose size is exponential in the number of processes in
 general — the "combinatorial explosion" that motivates the paper.  This
 module provides:
 
-* breadth-first enumeration of all consistent cuts (by level = cut size),
-  which is the engine of the Cooper–Marzullo baseline detector;
-* restricted reachability (can the final cut be reached from the initial cut
-  through cuts avoiding a predicate?), the engine of exact ``definitely``
-  detection;
-* linearizations (runs) of the computation;
-* lattice statistics used by the benchmarks.
+* :class:`LevelWalk`, the one level-order walk over the lattice's frontier
+  tuples (level = cut size).  Every exhaustive lattice search consumes it:
+  level enumeration and lattice statistics here, and the Cooper–Marzullo
+  ``possibly``/``definitely`` engines of :mod:`repro.detection`;
+* linearizations (runs) of the computation.
 
-All functions treat the computation as immutable and never materialize more
-state than a BFS frontier requires.
+All functions treat the computation as immutable and never hold more
+than one level of the lattice at a time.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.computation.computation import Computation
 from repro.computation.cut import Cut, final_cut, initial_cut
 from repro.events import EventId
 
 __all__ = [
+    "LevelWalk",
     "iter_consistent_cuts",
     "iter_levels",
     "count_consistent_cuts",
-    "reachable_avoiding",
-    "find_path",
     "some_linearization",
     "iter_linearizations",
     "lattice_width",
 ]
 
-CutPredicate = Callable[[Cut], bool]
+Frontier = Tuple[int, ...]
+#: A slice box: (least, greatest) frontier tuples.
+Bounds = Tuple[Frontier, Frontier]
+
+
+class LevelWalk:
+    """Level-order walk over the frontier tuples of consistent cuts.
+
+    Iterating yields each level — the frontiers of the cuts with one more
+    non-initial event than the previous level's — as a list in discovery
+    order: a frontier comes where the first frontier of the previous level
+    that reaches it lists it among its successors.  A level is expanded
+    only after the consumer asks for the next one, with one
+    :meth:`~repro.perf.causality.CausalityIndex.successor_frontiers_batch`
+    call, so a consumer that stops early never pays for the rest of the
+    lattice.  Every edge climbs exactly one level, so deduplicating within
+    the level is enough; no lattice-wide ``seen`` set is kept.
+
+    With ``bounds`` — a ``(least, greatest)`` frontier box, typically a
+    slice box from :mod:`repro.slicing.dispatch` — the walk starts at the
+    least frontier and drops every successor above the greatest one,
+    counting each dropped edge in :attr:`pruned`.  With ``expand`` only
+    the frontiers it accepts are expanded; the others end their branch.
+    """
+
+    __slots__ = ("computation", "bounds", "expand", "pruned")
+
+    def __init__(
+        self,
+        computation: Computation,
+        bounds: Optional[Bounds] = None,
+        expand: Optional[Callable[[Frontier], bool]] = None,
+    ) -> None:
+        self.computation = computation
+        self.bounds = bounds
+        self.expand = expand
+        #: Successor edges dropped above ``bounds`` so far.
+        self.pruned = 0
+
+    def __iter__(self) -> Iterator[List[Frontier]]:
+        from repro.perf.causality import CausalityIndex
+
+        index = CausalityIndex.of(self.computation)
+        if self.bounds is None:
+            level = [initial_cut(self.computation).frontier]
+            greatest = None
+        else:
+            start, greatest = self.bounds
+            level = [start]
+        while level:
+            yield level
+            if self.expand is not None:
+                level = [f for f in level if self.expand(f)]
+            # A dict keeps the first-discovery order of each successor.
+            next_level: Dict[Frontier, None] = {}
+            for successors in index.successor_frontiers_batch(level):
+                for nxt in successors:
+                    if greatest is not None and any(
+                        c > g for c, g in zip(nxt, greatest)
+                    ):
+                        self.pruned += 1
+                        continue
+                    next_level[nxt] = None
+            level = list(next_level)
 
 
 def iter_consistent_cuts(computation: Computation) -> Iterator[Cut]:
@@ -47,19 +106,16 @@ def iter_consistent_cuts(computation: Computation) -> Iterator[Cut]:
 
 
 def iter_levels(
-    computation: Computation,
-    bounds: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
+    computation: Computation, bounds: Optional[Bounds] = None
 ) -> Iterator[List[Cut]]:
     """Enumerate the level sets of the lattice.
 
     Level *k* contains the consistent cuts with exactly *k* non-initial
     events.  Every run visits exactly one cut per level, which is why the
     Cooper–Marzullo ``definitely`` algorithm walks the lattice level by
-    level.
-
-    Successor expansion and level dedup run on plain frontier tuples via
-    the computation's memoized causality index; each distinct cut is
-    materialized once through the shared interner.
+    level.  Within a level the cuts come in :class:`LevelWalk` discovery
+    order, not sorted; each distinct cut is materialized once through the
+    shared interner.
 
     With ``bounds`` — a ``(least, greatest)`` frontier pair, typically a
     slice box from :mod:`repro.slicing.dispatch` — the walk starts at the
@@ -69,137 +125,26 @@ def iter_levels(
     from repro.obs.progress import tracker
     from repro.perf.causality import CausalityIndex
 
-    index = CausalityIndex.of(computation)
-    interner = index.interner
-    if bounds is None:
-        start, greatest = initial_cut(computation).frontier, None
-    else:
-        start, greatest = bounds
-    current: List[Tuple[int, ...]] = [start]
+    interner = CausalityIndex.of(computation).interner
     trk = tracker("lattice.cuts")
-    while current:
-        trk.step(len(current))
-        yield [interner.get(frontier) for frontier in current]
-        next_level: Set[Tuple[int, ...]] = set()
-        for successors in index.successor_frontiers_batch(current):
-            for nxt in successors:
-                if greatest is not None and any(
-                    c > g for c, g in zip(nxt, greatest)
-                ):
-                    continue
-                next_level.add(nxt)
-        current = sorted(next_level)
+    for level in LevelWalk(computation, bounds):
+        trk.step(len(level))
+        yield [interner.get(frontier) for frontier in level]
+
+
+def _level_sizes(computation: Computation) -> Iterator[int]:
+    """Number of consistent cuts in each level, without building cuts."""
+    from repro.obs.progress import tracker
+
+    trk = tracker("lattice.cuts")
+    for level in LevelWalk(computation):
+        trk.step(len(level))
+        yield len(level)
 
 
 def count_consistent_cuts(computation: Computation) -> int:
     """Number of consistent cuts (size of the lattice)."""
-    return sum(len(level) for level in iter_levels(computation))
-
-
-def reachable_avoiding(
-    computation: Computation,
-    avoid: CutPredicate,
-    start: Optional[Cut] = None,
-    goal: Optional[Cut] = None,
-    bounds: Optional[Tuple[Tuple[int, ...], Tuple[int, ...]]] = None,
-) -> bool:
-    """Is ``goal`` reachable from ``start`` through cuts where ``avoid`` is false?
-
-    Both endpoints must themselves avoid the predicate for the answer to be
-    True.  Defaults: ``start`` = initial cut, ``goal`` = final cut.  This is
-    exactly the complement query of ``definitely``: ``definitely(B)`` holds
-    iff the final cut is *not* reachable from the initial cut while avoiding
-    ``B`` (a run is a lattice path visiting one cut per level).
-
-    ``bounds`` — a ``(least, greatest)`` frontier box that must
-    over-approximate the avoided region (``avoid(C) ⟹ C`` inside the box,
-    e.g. the slice box of :func:`repro.slicing.dispatch.avoidance_bounds`)
-    — lets the search skip evaluating ``avoid`` on cuts below the box and
-    declare success the moment it climbs above the box while staying
-    inside ``[start, goal]``: every cut of the remaining interval
-    dominates the escaped cut, so none of them can be avoided-region
-    members.
-    """
-    start = start if start is not None else initial_cut(computation)
-    goal = goal if goal is not None else final_cut(computation)
-    if avoid(start) or avoid(goal):
-        return False
-    if start == goal:
-        return True
-    if not goal.subset_of(start) and not start.subset_of(goal):
-        pass  # incomparable cuts can never reach each other; caught below
-    from repro.obs.progress import tracker
-
-    least, greatest = bounds if bounds is not None else (None, None)
-    seen: Set[Cut] = {start}
-    queue: deque[Cut] = deque([start])
-    trk = tracker("detect.cuts", check_every=64)
-    while queue:
-        cut = queue.popleft()
-        trk.step()
-        for nxt in cut.successors():
-            if nxt in seen:
-                continue
-            if not nxt.subset_of(goal):
-                continue  # moved outside the interval [start, goal]
-            if nxt == goal:
-                return True
-            if greatest is not None and any(
-                c > g for c, g in zip(nxt.frontier, greatest)
-            ):
-                # Escaped above the box: every cut of [nxt, goal] keeps
-                # that component above the box and cannot be avoided, so
-                # any completion of the current path reaches the goal.
-                return True
-            if least is not None and any(
-                c < l for c, l in zip(nxt.frontier, least)
-            ):
-                pass  # below the box: avoid() is false for free
-            elif avoid(nxt):
-                continue
-            seen.add(nxt)
-            queue.append(nxt)
-    return False
-
-
-def find_path(
-    computation: Computation,
-    start: Cut,
-    goal: Cut,
-    avoid: Optional[CutPredicate] = None,
-) -> Optional[List[Cut]]:
-    """A lattice path from ``start`` to ``goal`` (optionally avoiding cuts).
-
-    Returns the list of cuts along one shortest path, inclusive of both
-    endpoints, or None when no such path exists.  Used by the ±1 sum
-    algorithm's witness extraction (paper, Theorem 4).
-    """
-    if avoid is not None and (avoid(start) or avoid(goal)):
-        return None
-    if not start.subset_of(goal):
-        return None
-    if start == goal:
-        return [start]
-    parent: Dict[Cut, Cut] = {}
-    seen: Set[Cut] = {start}
-    queue: deque[Cut] = deque([start])
-    while queue:
-        cut = queue.popleft()
-        for nxt in cut.successors():
-            if nxt in seen or not nxt.subset_of(goal):
-                continue
-            if avoid is not None and avoid(nxt):
-                continue
-            parent[nxt] = cut
-            if nxt == goal:
-                path = [nxt]
-                while path[-1] != start:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            seen.add(nxt)
-            queue.append(nxt)
-    return None
+    return sum(_level_sizes(computation))
 
 
 def some_linearization(computation: Computation) -> List[EventId]:
@@ -262,4 +207,4 @@ def lattice_width(computation: Computation) -> int:
     A proxy for the per-level work of level-by-level algorithms; grows
     exponentially with the number of truly concurrent processes.
     """
-    return max(len(level) for level in iter_levels(computation))
+    return max(_level_sizes(computation))

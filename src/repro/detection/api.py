@@ -44,10 +44,7 @@ from typing import Optional
 
 from repro.computation import Computation, Cut
 from repro.obs import STATE, registry, span
-from repro.detection.cooper_marzullo import (
-    definitely_enumerate,
-    possibly_enumerate,
-)
+from repro.detection.cooper_marzullo import possibly_enumerate
 from repro.detection.definitely_conjunctive import definitely_conjunctive
 from repro.detection.garg_waldecker import detect_conjunctive
 from repro.detection.relational_sum import definitely_sum, possibly_sum
@@ -370,28 +367,20 @@ def _definitely(
         return definitely_conjunctive(
             computation, predicate, use_slice=use_slice
         )
-    if isinstance(predicate, CNFPredicate):
-        if predicate.is_conjunctive() and predicate.is_singular():
-            return definitely_conjunctive(
-                computation,
-                conjunctive_from_cnf(predicate),
-                use_slice=use_slice,
-            )
-        if use_slice:
-            from repro.slicing.dispatch import sliced_definitely_enumerate
-
-            return sliced_definitely_enumerate(
-                computation, predicate, infer=infer
-            )
-        return definitely_enumerate(computation, predicate)
+    if (
+        isinstance(predicate, CNFPredicate)
+        and predicate.is_conjunctive()
+        and predicate.is_singular()
+    ):
+        return definitely_conjunctive(
+            computation, conjunctive_from_cnf(predicate), use_slice=use_slice
+        )
     if isinstance(predicate, RelationalSumPredicate):
         return definitely_sum(computation, predicate, use_slice=use_slice)
     if isinstance(predicate, SymmetricPredicate):
         return definitely_symmetric(
             computation, predicate, use_slice=use_slice
         )
-    if use_slice:
-        from repro.slicing.dispatch import sliced_definitely_enumerate
+    from repro.slicing.dispatch import definitely_slice_first
 
-        return sliced_definitely_enumerate(computation, predicate, infer=infer)
-    return definitely_enumerate(computation, predicate)
+    return definitely_slice_first(computation, predicate, use_slice, infer)

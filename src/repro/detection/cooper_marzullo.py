@@ -7,28 +7,32 @@ exponential in the number of processes (the "combinatorial explosion" of the
 introduction), and the yardstick every structured algorithm is measured
 against in our benchmarks.
 
-* ``possibly(B)``: breadth-first search over all consistent cuts, stopping
-  at the first cut satisfying B.
+Both engines consume the one level-order walk of
+:class:`repro.computation.lattice.LevelWalk`:
+
+* ``possibly(B)``: walk every consistent cut level by level, stopping at
+  the first cut satisfying B (a minimum-size witness).
 * ``definitely(B)``: B definitely holds iff *no* run avoids it, i.e. iff the
   final cut is unreachable from the initial cut through cuts violating B
   (every run is a lattice path visiting one cut per level, and every lattice
-  path is a run).
+  path is a run).  The walk expands only the cuts violating B.
 
 Both engines accept optional slice ``bounds`` — the ``(least, greatest)``
 frontier box of a conjunctive over-approximation B' of B, computed by
 :mod:`repro.slicing.dispatch`.  Soundness rests on ``B ⟹ B'``: every
 B-satisfying cut lies inside the box, so ``possibly`` may search the box
 alone, and ``definitely`` may treat any cut outside the box as violating B
-without evaluating it — escaping *above* the box even proves an avoiding
+without evaluating it — a cut *above* the box even proves an avoiding
 run outright.  Skipped work is reported as the ``cuts_pruned`` stat.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Optional, Set, Tuple
 
-from repro.computation import Computation, Cut, final_cut, initial_cut
+from repro.computation import Computation, Cut, LevelWalk, final_cut
+from repro.computation.lattice import Bounds
 from repro.detection.result import DetectionResult
 from repro.obs import StatCounters, span
 from repro.obs.progress import tracker
@@ -36,9 +40,6 @@ from repro.perf.causality import CausalityIndex
 from repro.predicates.base import GlobalPredicate
 
 __all__ = ["possibly_enumerate", "definitely_enumerate"]
-
-#: A slice box: (least, greatest) frontier tuples of the over-approximation.
-Bounds = Tuple[Tuple[int, ...], Tuple[int, ...]]
 
 
 def _exceeds(frontier: Tuple[int, ...], greatest: Tuple[int, ...]) -> bool:
@@ -58,16 +59,15 @@ def possibly_enumerate(
 ) -> DetectionResult:
     """Decide ``possibly(B)`` by exhaustive lattice search (with early exit).
 
-    The BFS tracks plain frontier tuples (successor expansion and
-    ``seen``-set membership through the memoized causality index) and
-    materializes each consistent cut once, via the computation's interner,
-    only to evaluate the predicate on it.
+    Walks the lattice level by level and materializes each consistent cut
+    once, via the computation's interner, only to evaluate the predicate
+    on it.
 
     With ``bounds`` the search starts at the box's least cut and never
     expands past its greatest cut: every satisfying cut lies in the box,
     and every box cut is reachable from the least one through box cuts,
     so the restriction is complete.  The witness is still a minimum-size
-    satisfying cut (the box BFS runs in level order too).
+    satisfying cut (the box walk runs in level order too).
     """
     with span(
         "engine.cooper-marzullo",
@@ -76,45 +76,23 @@ def possibly_enumerate(
     ) as sp:
         index = CausalityIndex.of(computation)
         interner = index.interner
-        if bounds is None:
-            start = initial_cut(computation).frontier
-            greatest = None
-        else:
-            start, greatest = bounds
+        walk = LevelWalk(computation, bounds)
         explored = 0
-        pruned = 0
-        seen: Set[Tuple[int, ...]] = {start}
-        queue: deque[Tuple[int, ...]] = deque([start])
         holds, witness = False, None
         trk = tracker("detect.cuts", check_every=64)
-        # Wave-batched BFS: snapshot the queue, expand every frontier of
-        # the wave in one vectorized successor call (side-effect-free),
-        # then replay the items in the original FIFO order — evaluate,
-        # stop at the first hit *before* touching that item's children —
-        # so cuts_explored/cuts_pruned equal the one-at-a-time loop's.
-        while queue and not holds:
-            wave = list(queue)
-            queue.clear()
-            expansions = index.successor_frontiers_batch(wave)
-            for frontier, successors in zip(wave, expansions):
-                explored += 1
-                trk.step()
-                cut = interner.get(frontier)
-                if predicate.evaluate(cut):
-                    holds, witness = True, cut
-                    break
-                for nxt in successors:
-                    if nxt in seen:
-                        continue
-                    if greatest is not None and _exceeds(nxt, greatest):
-                        pruned += 1
-                        continue
-                    seen.add(nxt)
-                    queue.append(nxt)
+        # The walk expands a level only when the next one is asked for,
+        # so stopping at the first hit skips the rest of the lattice.
+        for frontier in chain.from_iterable(walk):
+            explored += 1
+            trk.step()
+            cut = interner.get(frontier)
+            if predicate.evaluate(cut):
+                holds, witness = True, cut
+                break
         stats = StatCounters("engine.cooper-marzullo")
         stats.inc("cuts_explored", explored)
         if bounds is not None:
-            stats.inc("cuts_pruned", pruned)
+            stats.inc("cuts_pruned", walk.pruned)
         sp.set(cuts_explored=explored, holds=holds)
         index.maybe_flush_metrics()
         return DetectionResult(
@@ -132,15 +110,15 @@ def definitely_enumerate(
 ) -> DetectionResult:
     """Decide ``definitely(B)`` by searching for a run that avoids B.
 
-    Explores the sub-lattice of cuts violating B; ``definitely(B)`` holds
-    iff the final cut cannot be reached from the initial cut inside that
-    sub-lattice (in particular it holds immediately when the initial or the
-    final cut satisfies B, since every run contains both).
+    Walks the sub-lattice of cuts violating B; ``definitely(B)`` holds iff
+    the final cut never appears in it (in particular it holds immediately
+    when the initial or the final cut satisfies B, since every run
+    contains both).
 
     With ``bounds`` the search knows every B-satisfying cut lies in the
-    box: cuts below the box are enqueued without evaluating B
-    (``cuts_pruned``), and the first edge climbing *above* the box proves
-    an avoiding run — every extension of that cut stays above the box and
+    box: cuts below the box are expanded without evaluating B
+    (``cuts_pruned``), and the first cut *above* the box proves an
+    avoiding run — every extension of that cut stays above the box and
     hence violates B — so the answer is False on the spot.
     """
     with span(
@@ -150,13 +128,12 @@ def definitely_enumerate(
     ) as sp:
         index = CausalityIndex.of(computation)
         interner = index.interner
-        start = initial_cut(computation)
-        goal_frontier = final_cut(computation).frontier
+        goal = final_cut(computation).frontier
         least, greatest = bounds if bounds is not None else (None, None)
-        pruned = 0
+        explored = pruned = 0
 
         def _result(
-            holds: bool, explored: int, witness: Optional[Cut] = None
+            holds: bool, witness: Optional[Cut] = None
         ) -> DetectionResult:
             stats = StatCounters("engine.cooper-marzullo")
             stats.inc("cuts_explored", explored)
@@ -171,65 +148,49 @@ def definitely_enumerate(
                 stats=stats.as_dict(),
             )
 
-        def _known_false(frontier: Tuple[int, ...]) -> bool:
-            """Outside the box ⟹ violates B, no evaluation needed."""
-            if least is None:
-                return False
-            return _below(frontier, least) or _exceeds(frontier, greatest)
+        def _satisfies(frontier: Tuple[int, ...]) -> Optional[Cut]:
+            """The cut when it satisfies B; None when it violates B.
 
-        # Evaluate each endpoint exactly once; ``cuts_explored`` counts the
-        # cuts actually examined (1 when the initial cut short-circuits).
-        if _known_false(start.frontier):
-            pruned += 1
-        elif predicate.evaluate(start):
-            return _result(True, 1, start)
-        if start.frontier == goal_frontier:
+            Outside the box ⟹ violates B, without evaluating it.
+            """
+            nonlocal explored, pruned
+            explored += 1
+            if least is not None and (
+                _below(frontier, least) or _exceeds(frontier, greatest)
+            ):
+                pruned += 1
+                return None
+            cut = interner.get(frontier)
+            return cut if predicate.evaluate(cut) else None
+
+        # Examine both endpoints first: every run contains them.
+        barriers: Set[Tuple[int, ...]] = set()  # satisfying cuts of a level
+        levels = iter(
+            LevelWalk(computation, expand=lambda f: f not in barriers)
+        )
+        (start,) = next(levels)
+        for endpoint in dict.fromkeys((start, goal)):
+            witness = _satisfies(endpoint)
+            if witness is not None:
+                return _result(True, witness)
+        if start == goal:
             # The lattice is a single cut that violates B: the unique run
             # avoids B.
-            return _result(False, 1)
-        if _known_false(goal_frontier):
-            pruned += 1
-        else:
-            goal = interner.get(goal_frontier)
-            if predicate.evaluate(goal):
-                return _result(True, 2, goal)
-        explored = 2  # both endpoints examined; count each cut once
-        seen: Set[Tuple[int, ...]] = {start.frontier}
-        queue: deque[Tuple[int, ...]] = deque([start.frontier])
+            return _result(False)
         trk = tracker("detect.cuts", check_every=64)
-        # Same wave-batching as the possibly search: expansion of a whole
-        # wave is precomputed in one vectorized call, then items replay in
-        # FIFO order with the original early returns intact.
-        while queue:
-            wave = list(queue)
-            queue.clear()
-            expansions = index.successor_frontiers_batch(wave)
-            for frontier, successors in zip(wave, expansions):
+        for level in levels:
+            barriers.clear()
+            for frontier in level:
+                if frontier == goal:
+                    # A full run avoiding B exists (goal is known false).
+                    return _result(False)
+                if greatest is not None and _exceeds(frontier, greatest):
+                    # Above the box: this cut and every cut of any
+                    # extension violate B, so the avoiding path that
+                    # reached it completes into a full run.
+                    pruned += 1
+                    return _result(False)
                 trk.step()
-                for nxt in successors:
-                    if nxt in seen:
-                        continue
-                    # Mark satisfying cuts seen too: they are barriers
-                    # either way, and marking avoids re-evaluating B on
-                    # every later edge reaching them.
-                    seen.add(nxt)
-                    if nxt == goal_frontier:
-                        # A full run avoiding B exists (goal is known
-                        # false).
-                        return _result(False, explored)
-                    if greatest is not None and _exceeds(nxt, greatest):
-                        # Escaped above the box: this cut and every cut of
-                        # any extension stays above it, so all of them
-                        # violate B — the current avoiding path completes
-                        # into a full run.
-                        pruned += 1
-                        return _result(False, explored)
-                    explored += 1
-                    if least is not None and _below(nxt, least):
-                        pruned += 1  # below the box: B is false for free
-                        queue.append(nxt)
-                        continue
-                    if predicate.evaluate(interner.get(nxt)):
-                        continue
-                    queue.append(nxt)
-        return _result(True, explored)
+                if _satisfies(frontier) is not None:
+                    barriers.add(frontier)
+        return _result(True)

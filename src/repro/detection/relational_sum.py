@@ -36,12 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.computation import (
-    Computation,
-    Cut,
-    initial_cut,
-    reachable_avoiding,
-)
+from repro.computation import Computation, Cut, initial_cut
 from repro.detection.cooper_marzullo import possibly_enumerate
 from repro.detection.result import DetectionResult
 from repro.flow import max_sum_cut, min_sum_cut
@@ -267,29 +262,22 @@ def _definitely_by_avoidance(
     """Exact ``definitely``: is there a run avoiding the predicate?
 
     Exponential in the worst case (it explores the complement sub-lattice);
-    exact for every relop.  With ``use_slice`` the predicate's slice box
-    lets the search skip evaluations outside the box — and when the slice
-    is empty the predicate holds nowhere, so the avoidance is trivial.
+    exact for every relop.  Runs the slice-first ``definitely`` search of
+    :func:`repro.slicing.dispatch.definitely_slice_first`, the same one
+    :func:`repro.detection.api.detect` uses for opaque predicates.
     """
-    with span("engine.avoidance-search", relop=predicate.relop.value) as sp:
-        trivially_avoidable, bounds = False, None
-        if use_slice:
-            from repro.slicing.dispatch import avoidance_bounds
+    from repro.slicing.dispatch import definitely_slice_first
 
-            trivially_avoidable, bounds = avoidance_bounds(
-                computation, predicate
-            )
-        if trivially_avoidable:
-            avoidable = True
-        else:
-            avoidable = reachable_avoiding(
-                computation, predicate.evaluate, bounds=bounds
-            )
+    with span("engine.avoidance-search", relop=predicate.relop.value) as sp:
+        inner = definitely_slice_first(computation, predicate, use_slice)
         stats = StatCounters("engine.avoidance-search")
         stats.inc("searches")
-        sp.set(holds=not avoidable, sliced=bounds is not None)
+        for key in ("cuts_explored", "cuts_pruned"):
+            if key in inner.stats:
+                stats.inc(key, inner.stats[key])
+        sp.set(holds=inner.holds, sliced=inner.algorithm.startswith("slice"))
         return DetectionResult(
-            holds=not avoidable,
+            holds=inner.holds,
             algorithm="avoidance-search",
             stats=stats.as_dict(),
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.computation import Computation, Cut, reachable_avoiding
+from repro.computation import Computation, Cut
 from repro.detection.relational_sum import (
     definitely_sum_eq_unit,
     witness_cut_with_sum,
@@ -52,7 +52,11 @@ def possibly_symmetric(
         witness: Optional[Cut] = witness_cut_with_sum(
             computation, variable, reachable[0]
         )
-        assert witness is not None
+        if witness is None:
+            # Raises rather than asserts, so the check survives ``python -O``.
+            raise AssertionError(
+                f"count {reachable[0]} lies in [{lo}, {hi}] but no cut has it"
+            )
         return DetectionResult(
             holds=True,
             witness=witness,
@@ -82,26 +86,19 @@ def definitely_symmetric(
             algorithm="symmetric-" + result.algorithm,
             stats=result.stats,
         )
+    from repro.slicing.dispatch import definitely_slice_first
+
     with span(
         "engine.symmetric-avoidance", counts=sorted(predicate.counts)
     ) as sp:
-        trivially_avoidable, bounds = False, None
-        if use_slice:
-            from repro.slicing.dispatch import avoidance_bounds
-
-            trivially_avoidable, bounds = avoidance_bounds(
-                computation, predicate
-            )
-        if trivially_avoidable:
-            avoidable = True
-        else:
-            avoidable = reachable_avoiding(
-                computation, predicate.evaluate, bounds=bounds
-            )
+        inner = definitely_slice_first(computation, predicate, use_slice)
         stats = StatCounters("engine.symmetric-avoidance")
         stats.inc("searches")
-        sp.set(holds=not avoidable, sliced=bounds is not None)
+        for key in ("cuts_explored", "cuts_pruned"):
+            if key in inner.stats:
+                stats.inc(key, inner.stats[key])
+        sp.set(holds=inner.holds, sliced=inner.algorithm.startswith("slice"))
         return DetectionResult(
-            holds=not avoidable, algorithm="symmetric-avoidance",
+            holds=inner.holds, algorithm="symmetric-avoidance",
             stats=stats.as_dict(),
         )

@@ -102,7 +102,9 @@ def maximize_ideal_weight(
     for p, i in chosen:
         frontier[p] = max(frontier[p], i + 1)
     witness = Cut(computation, frontier)
-    assert witness.is_consistent(), "min-cut produced a non-closed ideal"
+    if not witness.is_consistent():
+        # Raises rather than asserts, so the check survives ``python -O``.
+        raise AssertionError("min-cut produced a non-closed ideal")
     return best, witness
 
 

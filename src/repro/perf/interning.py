@@ -1,15 +1,13 @@
 """Cut interning keyed on frontier tuples.
 
-The lattice-walking engines (Cooper–Marzullo, ``iter_levels``) used to
-build a fresh :class:`~repro.computation.cut.Cut` per *edge* of the BFS —
-each construction re-validating the frontier against every process and
-re-hashing it for ``seen``-set membership.  A :class:`CutInterner` keeps
-one canonical ``Cut`` per frontier tuple, so
-
-* ``seen``-set membership happens on plain tuples (hashed once by the
-  dict machinery, no object construction on the duplicate path), and
-* each distinct consistent cut is materialized exactly once per
-  computation, however many queries or BFS edges reach it.
+The lattice walk (:class:`repro.computation.lattice.LevelWalk`) and its
+consumers — the Cooper–Marzullo engines and ``iter_levels`` — track plain
+frontier tuples: successor expansion and within-level deduplication never
+construct a :class:`~repro.computation.cut.Cut`.  When a consumer needs a
+``Cut`` (to evaluate a predicate on it, or to hand it out), a
+:class:`CutInterner` supplies one canonical instance per frontier tuple,
+so each distinct consistent cut is materialized exactly once per
+computation, however many queries or lattice edges reach it.
 
 The interner is obtained from
 :attr:`repro.perf.causality.CausalityIndex.interner` (shared, living as

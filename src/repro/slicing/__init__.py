@@ -2,8 +2,8 @@
 
 from repro.slicing.dispatch import (
     SliceInfo,
-    avoidance_bounds,
     conjunctive_approximation,
+    definitely_slice_first,
     slice_info,
     sliced_definitely_enumerate,
     sliced_possibly_enumerate,
@@ -13,8 +13,8 @@ from repro.slicing.slice import ConjunctiveSlice
 __all__ = [
     "ConjunctiveSlice",
     "SliceInfo",
-    "avoidance_bounds",
     "conjunctive_approximation",
+    "definitely_slice_first",
     "slice_info",
     "sliced_definitely_enumerate",
     "sliced_possibly_enumerate",

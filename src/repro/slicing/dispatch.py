@@ -25,10 +25,10 @@ engines:
   Both open an ``engine.slice`` span and report the box-volume
   contraction as the ``perf.slice.reduction`` gauge plus skipped work as
   the ``perf.slice.cuts_pruned`` counter.
-* :func:`avoidance_bounds` — the same box for avoidance searches
-  (``reachable_avoiding``): cuts outside the box can never satisfy the
-  avoided predicate, so the search may skip their evaluation and
-  short-circuit the moment it escapes above the box.
+* :func:`definitely_slice_first` — the one exhaustive ``definitely``
+  path: :func:`sliced_definitely_enumerate`, or the unsliced engine when
+  ``use_slice`` is False.  :func:`repro.detection.api.detect` and the
+  relational-sum and symmetric avoidance searches all go through it.
 
 Detection modules are imported lazily inside functions: slicing sits
 below :mod:`repro.detection` in the layering, and the lazy imports keep
@@ -56,8 +56,8 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
 
 __all__ = [
     "SliceInfo",
-    "avoidance_bounds",
     "conjunctive_approximation",
+    "definitely_slice_first",
     "slice_info",
     "sliced_definitely_enumerate",
     "sliced_possibly_enumerate",
@@ -345,25 +345,6 @@ def slice_info(
     )
 
 
-def avoidance_bounds(
-    computation: Computation, predicate: GlobalPredicate
-) -> Tuple[bool, Optional[Tuple[Frontier, Frontier]]]:
-    """``(trivially_avoidable, bounds)`` for an avoidance search over B.
-
-    When the slice of B's over-approximation is empty, B holds on *no*
-    cut: every run avoids it and the search may be skipped outright
-    (first component True).  Otherwise the bounds (when available) let
-    :func:`repro.computation.lattice.reachable_avoiding` skip evaluating
-    B outside the box and short-circuit above it.
-    """
-    info = slice_info(computation, predicate)
-    if not info.useful:
-        return False, None
-    if info.empty:
-        return True, None
-    return False, info.bounds
-
-
 # ----------------------------------------------------------------------
 # Slice-first enumeration engines
 # ----------------------------------------------------------------------
@@ -476,3 +457,21 @@ def sliced_definitely_enumerate(
             algorithm="slice:" + inner.algorithm,
             stats=stats,
         )
+
+
+def definitely_slice_first(
+    computation: Computation,
+    predicate: GlobalPredicate,
+    use_slice: bool = True,
+    infer: bool = True,
+) -> "DetectionResult":
+    """The exhaustive ``definitely(B)`` search, slice-first by default.
+
+    :func:`sliced_definitely_enumerate` unless ``use_slice`` is False, in
+    which case the unsliced Cooper–Marzullo engine runs.
+    """
+    if use_slice:
+        return sliced_definitely_enumerate(computation, predicate, infer=infer)
+    from repro.detection.cooper_marzullo import definitely_enumerate
+
+    return definitely_enumerate(computation, predicate)

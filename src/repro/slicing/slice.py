@@ -177,7 +177,9 @@ class ConjunctiveSlice:
         self._compute_bounds()
         if self._least_fr is None:
             return None
-        assert self._greatest_fr is not None
+        if self._greatest_fr is None:
+            # Raises rather than asserts, so the check survives ``python -O``.
+            raise AssertionError("a non-empty slice must have a greatest cut")
         return self._least_fr, self._greatest_fr
 
     def _compute_bounds(self) -> None:
@@ -191,9 +193,8 @@ class ConjunctiveSlice:
         self._greatest_fr = self._round_down_frontier(
             list(self._index._lengths)
         )
-        assert (
-            self._greatest_fr is not None
-        ), "a non-empty slice must have a greatest cut"
+        if self._greatest_fr is None:
+            raise AssertionError("a non-empty slice must have a greatest cut")
 
     def round_down(self, cut: Cut) -> Optional[Cut]:
         """Greatest satisfying consistent cut contained in ``cut``.

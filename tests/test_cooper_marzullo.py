@@ -64,6 +64,11 @@ class TestDefinitely:
         assert definitely_enumerate(figure2, at_bottom).holds
         assert definitely_enumerate(figure2, at_top).holds
 
+    def test_constant_false_counts_each_cut_once(self, figure2):
+        result = definitely_enumerate(figure2, ConstantPredicate(False))
+        assert not result.holds
+        assert result.stats["cuts_explored"] == 12
+
     def test_unavoidable_level(self, figure2):
         pred = FunctionPredicate(lambda cut: cut.size() == 2, "level2")
         assert definitely_enumerate(figure2, pred).holds

@@ -15,6 +15,7 @@ from repro.flow import (
     min_sum_cut,
     sum_range,
 )
+from repro.flow.maxflow import MaxFlow
 from repro.trace import ArbitraryWalkVar, UnitWalkVar, random_computation
 
 unit_comp = st.builds(
@@ -114,3 +115,16 @@ class TestClosure:
         best, witness = maximize_ideal_weight(figure2, weights)
         assert best == 1
         assert witness.contains((1, 1)) and witness.contains((2, 1))
+
+    def test_non_closed_ideal_raises(self, figure2, monkeypatch):
+        """The witness consistency check is an explicit raise, so it also
+        runs under ``python -O``."""
+        ids = [ev.event_id for ev in figure2.all_events()]
+        # The receive g without its send f: not downward closed.
+        monkeypatch.setattr(
+            MaxFlow,
+            "min_cut_source_side",
+            lambda self, source: {ids.index((2, 1))},
+        )
+        with pytest.raises(AssertionError, match="non-closed ideal"):
+            maximize_ideal_weight(figure2, {(2, 1): 2, (1, 1): -1})

@@ -1,4 +1,4 @@
-"""Tests for lattice enumeration, reachability and linearizations."""
+"""Tests for lattice enumeration, avoidance and linearizations."""
 
 from __future__ import annotations
 
@@ -11,17 +11,17 @@ from hypothesis import strategies as st
 from helpers import all_consistent_cuts
 from repro.computation import (
     ComputationBuilder,
+    Cut,
     count_consistent_cuts,
     final_cut,
-    find_path,
     initial_cut,
-    iter_consistent_cuts,
     iter_levels,
     iter_linearizations,
     lattice_width,
-    reachable_avoiding,
     some_linearization,
 )
+from repro.detection import definitely_enumerate
+from repro.predicates import FunctionPredicate
 from repro.trace import random_computation
 
 random_comp = st.builds(
@@ -55,9 +55,14 @@ class TestEnumeration:
     @settings(max_examples=25, deadline=None)
     @given(random_comp)
     def test_enumeration_matches_brute_force(self, comp):
-        enumerated = set(iter_consistent_cuts(comp))
-        brute = set(all_consistent_cuts(comp))
-        assert enumerated == brute
+        by_size = {}
+        for cut in all_consistent_cuts(comp):
+            by_size.setdefault(cut.size(), set()).add(cut)
+        levels = list(iter_levels(comp))
+        assert len(levels) == len(by_size)
+        for k, level in enumerate(levels):
+            assert len(level) == len(set(level))
+            assert set(level) == by_size[k]
 
     def test_levels_partition_by_size(self, diamond):
         for k, level in enumerate(iter_levels(diamond)):
@@ -77,59 +82,26 @@ class TestEnumeration:
         assert lattice_width(comp) == 3
 
 
+def avoidable(comp, avoid) -> bool:
+    """Is there a run through cuts where ``avoid`` is false?"""
+    return not definitely_enumerate(comp, FunctionPredicate(avoid)).holds
+
+
 class TestReachability:
     def test_unrestricted_reachability(self, figure2):
-        assert reachable_avoiding(figure2, lambda cut: False)
+        assert avoidable(figure2, lambda cut: False)
 
     def test_blocked_when_endpoint_satisfies(self, figure2):
-        assert not reachable_avoiding(figure2, lambda cut: cut.size() == 0)
-        assert not reachable_avoiding(
-            figure2, lambda cut: cut == final_cut(figure2)
-        )
+        assert not avoidable(figure2, lambda cut: cut.size() == 0)
+        assert not avoidable(figure2, lambda cut: cut == final_cut(figure2))
 
     def test_unavoidable_middle_level(self, figure2):
         # Every run passes through a cut of size 2.
-        assert not reachable_avoiding(figure2, lambda cut: cut.size() == 2)
+        assert not avoidable(figure2, lambda cut: cut.size() == 2)
 
     def test_avoidable_specific_cut(self, figure2):
-        from repro.computation import Cut
-
         target = Cut(figure2, (2, 1, 1, 1))
-        assert reachable_avoiding(figure2, lambda cut: cut == target)
-
-    def test_custom_endpoints(self, diamond):
-        start = initial_cut(diamond)
-        mid = start.advance(0)
-        assert reachable_avoiding(diamond, lambda c: False, start=start, goal=mid)
-
-    def test_find_path_endpoints_and_steps(self, diamond):
-        path = find_path(diamond, initial_cut(diamond), final_cut(diamond))
-        assert path is not None
-        assert path[0] == initial_cut(diamond)
-        assert path[-1] == final_cut(diamond)
-        for a, b in zip(path, path[1:]):
-            assert b.size() == a.size() + 1
-            assert a.subset_of(b)
-
-    def test_find_path_respects_avoid(self, figure2):
-        path = find_path(
-            figure2,
-            initial_cut(figure2),
-            final_cut(figure2),
-            avoid=lambda cut: cut.size() == 2,
-        )
-        assert path is None
-
-    def test_find_path_unreachable(self, figure2):
-        from repro.computation import Cut
-
-        a = Cut(figure2, (2, 1, 1, 1))
-        b = Cut(figure2, (1, 2, 1, 1))
-        assert find_path(figure2, a, b) is None
-
-    def test_find_path_identical_endpoints(self, figure2):
-        bottom = initial_cut(figure2)
-        assert find_path(figure2, bottom, bottom) == [bottom]
+        assert avoidable(figure2, lambda cut: cut == target)
 
 
 class TestLinearizations:

@@ -196,8 +196,18 @@ class TestDispatch:
         assert result.witness is not None
 
     @settings(max_examples=20, deadline=None)
-    @given(unit_comp, st.sampled_from(["<", "<=", ">", ">="]), st.integers(-3, 3))
-    def test_definitely_inequality_matches_oracle(self, comp, relop, k):
+    @given(
+        unit_comp,
+        st.sampled_from(["<", "<=", ">", ">="]),
+        st.integers(-3, 3),
+        st.booleans(),
+    )
+    def test_definitely_inequality_matches_oracle(
+        self, comp, relop, k, use_slice
+    ):
         pred = sum_predicate("v", relop, k)
-        got = definitely_sum(comp, pred)
+        got = definitely_sum(comp, pred, use_slice=use_slice)
         assert got.holds == brute_definitely(comp, pred.evaluate)
+        assert got.algorithm == "avoidance-search"
+        assert got.stats["searches"] == 1
+        assert "cuts_explored" in got.stats

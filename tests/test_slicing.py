@@ -111,6 +111,18 @@ class TestRounding:
         with pytest.raises(AssertionError, match="must be consistent"):
             slc.round_up(initial_cut(comp))
 
+    def test_missing_greatest_cut_raises(self, figure2, monkeypatch):
+        """The slice box check is an explicit raise, so it also runs
+        under ``python -O``; a later call raises again rather than
+        returning a half box."""
+        slc = ConjunctiveSlice(figure2, conjunctive(local(1, "x")))
+        monkeypatch.setattr(
+            ConjunctiveSlice, "_round_down_frontier", lambda self, f: None
+        )
+        for _ in range(2):
+            with pytest.raises(AssertionError, match="greatest cut"):
+                slc.bounds_frontiers()
+
 
 class TestEnumeration:
     @settings(max_examples=40, deadline=None)

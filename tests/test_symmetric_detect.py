@@ -10,6 +10,7 @@ from helpers import brute_definitely, brute_possibly
 from repro.detection import (
     definitely_symmetric,
     possibly_symmetric,
+    symmetric_detect,
 )
 from repro.predicates import (
     SymmetricPredicate,
@@ -74,6 +75,15 @@ class TestPossibly:
         assert possibly_symmetric(figure2, pred).holds  # all true at top
         assert possibly_symmetric(figure2, truncated).holds  # all false at bottom
 
+    def test_missing_witness_raises(self, figure2, monkeypatch):
+        """A positive verdict without a witness is an explicit raise, so
+        the check also runs under ``python -O``."""
+        monkeypatch.setattr(
+            symmetric_detect, "witness_cut_with_sum", lambda *a: None
+        )
+        with pytest.raises(AssertionError, match="no cut has it"):
+            possibly_symmetric(figure2, exactly_k_tokens("x", 4, 1))
+
     def test_stats_expose_count_range(self, figure2):
         result = possibly_symmetric(figure2, exactly_k_tokens("x", 4, 2))
         assert result.stats == {"min_count": 0, "max_count": 4}
@@ -88,7 +98,8 @@ class TestDefinitely:
             st.sets(st.integers(0, n), min_size=1, max_size=n + 1)
         )
         pred = SymmetricPredicate("x", n, counts)
-        got = definitely_symmetric(comp, pred)
+        use_slice = data.draw(st.booleans())
+        got = definitely_symmetric(comp, pred, use_slice=use_slice)
         assert got.holds == brute_definitely(comp, pred.evaluate)
 
     @settings(max_examples=25, deadline=None)
