@@ -19,8 +19,13 @@ lint:
 fuzz:
 	$(PYTHON) -m repro fuzz --seed 0 --iterations 400 --time-budget 30 $(FUZZ_ARGS)
 
+# CI's benchmark regression gate (docs/CLI.md): exits 1 when an
+# experiment's median is more than 2x its committed baseline.
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src $(PYTHON) benchmarks/report.py \
+		F1-conj F1-sing-general T-chain T-parallel T-classify \
+		--json /tmp/BENCH_current.json --ledger /tmp/runs.jsonl \
+		--baseline benchmarks/BENCH_baseline.json
 
 report:
 	cd benchmarks && $(PYTHON) report.py

@@ -1,44 +1,41 @@
 #!/usr/bin/env python3
 """Regenerate every experiment table for EXPERIMENTS.md.
 
-Runs the same seeded workloads as the pytest-benchmark suite, but prints
-compact paper-style tables (one per experiment id from DESIGN.md) with a
-single timed run per point — the *shape* of each series is the reproduced
-result.  Usage::
+The one experiment harness: each experiment id from DESIGN.md builds its
+seeded workloads, times the engine calls behind its claim, and prints one
+paper-style table — the *shape* of each series is the reproduced result.
+Usage::
 
     python benchmarks/report.py                    # all experiments
     python benchmarks/report.py F1-conj F3         # a subset
     python benchmarks/report.py --json BENCH.json  # + metrics snapshots
     python benchmarks/report.py --baseline benchmarks/BENCH_baseline.json
 
-``--baseline`` compares each experiment's wall time against a committed
-``--json`` snapshot and exits 1 when any experiment above the noise
-floor is more than ``--max-slowdown`` (default 2x) slower — the CI
-benchmark smoke gate.
-
-With ``--json`` every experiment runs under the observability layer
-(:mod:`repro.obs`) and the output file records, per experiment id, the
-counters, gauges, and histogram summaries the engines emitted — the
-*work done* (CPDHB invocations, eliminations, cuts explored), not just
-wall time.
-
-Unless ``--no-ledger`` is passed (or ``REPRO_RUNS=off``), each report
-run also appends one ``repro-run-v1`` record (``command: "bench"``,
-per-experiment wall times in ``stats``) to the run ledger, so
-``repro runs diff`` can compare benchmark runs across PRs — see
-``docs/RUNS.md``.  The record is assembled after the timed loop from the
-report's own measurements; experiments never run under ledger
-instrumentation.
+Every experiment runs one untimed warm-up pass (under :mod:`repro.obs`
+with ``--json``, which records its metrics snapshot), then ``PASSES``
+uninstrumented timed passes, iteration-major, each iteration in an order
+shuffled with the constant seed ``ORDER_SEED``.  A pass's time is the sum
+of its ``timed`` points only; workload generation and printing are not
+timed.  Each table prints once, every numeric cell the median of its
+per-pass values.  ``--json`` records each experiment's median pass time
+and interquartile range; ``--baseline`` compares medians against such a
+snapshot and exits 1 when any experiment above ``NOISE_FLOOR_MS`` is more
+than ``MAX_SLOWDOWN`` times slower — the CI gate (docs/CLI.md).  Each run
+appends a ``command: "bench"`` record with the medians to the run ledger
+unless ``--ledger off`` or ``REPRO_RUNS=off`` (docs/RUNS.md).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
+import statistics
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
+from bench_service_load import run_load
 from workloads import (
     arbitrary_walk_workload,
     chain_structured_group,
@@ -48,6 +45,7 @@ from workloads import (
     unit_walk_workload,
 )
 
+from repro import obs
 from repro.computation import count_consistent_cuts
 from repro.detection import (
     definitely_sum,
@@ -63,8 +61,12 @@ from repro.detection import (
 from repro.monitor import OnlineConjunctiveMonitor
 from repro.predicates import (
     absence_of_simple_majority,
+    absence_of_two_thirds_majority,
+    conjunctive,
     exactly_k_tokens,
     exclusive_or,
+    local,
+    not_all_equal,
     sum_predicate,
 )
 from repro.reductions import (
@@ -74,120 +76,172 @@ from repro.reductions import (
     subset_sum_to_detection,
     to_nonmonotone_3cnf,
 )
-from repro.simulation.protocols import build_resource_pool
+from repro.simulation import protocols
 from repro.slicing import ConjunctiveSlice
 from repro.trace import random_computation
 
+#: Timed passes per experiment, after one untimed warm-up pass.
+PASSES = 5
+#: Seed of the per-iteration shuffle of the experiment order.
+ORDER_SEED = 2001
+#: ``--baseline`` fails an experiment whose median exceeds its baseline
+#: median by more than this factor.
+MAX_SLOWDOWN = 2.0
+#: Experiments faster than this in the baseline are skipped by the
+#: regression gate: their timings are scheduler noise, not signal.
+NOISE_FLOOR_MS = 20.0
 
-def timed(fn: Callable, *args, **kwargs):
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, (time.perf_counter() - start) * 1000.0
+
+class Table:
+    """One pass of one experiment: its table rows and its timed points."""
+
+    def __init__(self) -> None:
+        self.title = ""
+        self.rows: List[tuple] = []
+        self.timed_ms = 0.0
+
+    def header(self, exp_id: str, claim: str) -> None:
+        self.title = f"## {exp_id} — {claim}"
+
+    def row(self, *cells) -> None:
+        self.rows.append(cells)
+
+    def timed(self, fn: Callable, *args, **kwargs):
+        """Run ``fn`` as one timed point; returns (result, ms)."""
+        start = time.perf_counter()
+        result = fn(*args, **kwargs)
+        return result, self.record((time.perf_counter() - start) * 1000.0)
+
+    def record(self, ms: float) -> float:
+        """Count ``ms``, measured by the workload itself, as a timed point."""
+        self.timed_ms += ms
+        return ms
 
 
-def header(exp_id: str, claim: str) -> None:
-    print(f"\n## {exp_id} — {claim}")
-
-
-def row(*cells) -> None:
+def print_row(*cells) -> None:
     print("  " + " | ".join(f"{c}" for c in cells))
 
 
-def f1_conj() -> None:
-    header("F1-conj", "conjunctive predicates are polynomial (CPDHB)")
-    row("processes", "events", "holds", "time_ms")
+def merged_cell(cells: tuple):
+    """One table cell over all timed passes: the median of a numeric
+    cell (floats to two decimals), otherwise the last pass's value."""
+    if all(
+        isinstance(c, (int, float)) and not isinstance(c, bool)
+        for c in cells
+    ):
+        value = statistics.median(cells)
+        return f"{value:.2f}" if isinstance(value, float) else value
+    return cells[-1]
+
+
+def print_table(tables: List[Table], median: float, iqr: float) -> None:
+    print(f"\n{tables[-1].title}")
+    for rows in zip(*(t.rows for t in tables)):
+        print_row(*(merged_cell(cells) for cells in zip(*rows)))
+    print(f"  (timed points: median {median:.2f} ms, IQR {iqr:.2f} ms "
+          f"over {len(tables)} passes)")
+
+
+def f1_conj(t: Table) -> None:
+    t.header("F1-conj", "conjunctive predicates are polynomial (CPDHB)")
+    t.row("processes", "events", "holds", "time_ms")
     for n in (2, 4, 8, 16, 32):
         comp, pred = conjunctive_workload(n)
-        result, ms = timed(detect_conjunctive, comp, pred)
-        row(n, comp.total_events(), result.holds, f"{ms:.2f}")
+        result, ms = t.timed(detect_conjunctive, comp, pred)
+        t.row(n, comp.total_events(), result.holds, ms)
 
 
-def f1_sing_special() -> None:
-    header(
+def f1_sing_special(t: Table) -> None:
+    t.header(
         "F1-sing-special",
         "singular k-CNF is polynomial on receive-/send-ordered traces (CPDSC)",
     )
-    row("groups", "ordering", "holds", "time_ms")
+    t.row("groups", "ordering", "holds", "time_ms")
     for ordering in ("receive", "send"):
         for m in (2, 4, 8, 12):
             comp, pred = singular_workload(
                 m, group_size=3, events_per_process=12, ordering=ordering
             )
-            result, ms = timed(detect_special_case, comp, pred)
-            row(m, ordering, result.holds, f"{ms:.2f}")
+            result, ms = t.timed(detect_special_case, comp, pred)
+            t.row(m, ordering, result.holds, ms)
 
 
-def f1_sing_general() -> None:
-    header(
+def f1_sing_general(t: Table) -> None:
+    t.header(
         "F1-sing-general",
         "general singular k-CNF: Section 3.3 engines vs lattice enumeration",
     )
-    row("groups", "engine", "combinations/cuts", "holds", "time_ms")
+    t.row("groups", "engine", "combinations/cuts", "holds", "time_ms")
     for m in (2, 3, 4, 5):
         comp, pred = singular_workload(m, 2, events_per_process=8)
-        chain, ms_chain = timed(detect_by_chain_choice, comp, pred)
-        row(m, "chain-choice", chain.stats["combinations"], chain.holds,
-            f"{ms_chain:.2f}")
-        proc, ms_proc = timed(detect_by_process_choice, comp, pred)
-        row(m, "process-choice", proc.stats["combinations"], proc.holds,
-            f"{ms_proc:.2f}")
+        chain, ms_chain = t.timed(detect_by_chain_choice, comp, pred)
+        t.row(m, "chain-choice", chain.stats["combinations"], chain.holds,
+              ms_chain)
+        proc, ms_proc = t.timed(detect_by_process_choice, comp, pred)
+        t.row(m, "process-choice", proc.stats["combinations"], proc.holds,
+              ms_proc)
     for m in (2, 3):
         comp, pred = singular_workload(m, 2, events_per_process=3)
-        enum, ms_enum = timed(possibly_enumerate, comp, pred)
-        row(m, "cooper-marzullo", enum.stats["cuts_explored"], enum.holds,
-            f"{ms_enum:.2f}")
+        enum, ms_enum = t.timed(possibly_enumerate, comp, pred)
+        t.row(m, "cooper-marzullo", enum.stats["cuts_explored"], enum.holds,
+              ms_enum)
 
 
-def f1_rel_ineq() -> None:
-    header("F1-rel-ineq", "sum inequalities are polynomial via min-cut")
-    row("processes", "regime", "bound", "time_ms")
+def f1_rel_ineq(t: Table) -> None:
+    t.header("F1-rel-ineq", "sum inequalities are polynomial via min-cut")
+    t.row("processes", "regime", "bound", "time_ms")
+    at_most = sum_predicate("v", "<=", 0)
+    at_least = sum_predicate("v", ">=", 100)
     for n in (2, 4, 8, 16, 32):
         comp = unit_walk_workload(n)
-        result, ms = timed(possibly_sum, comp, sum_predicate("v", "<=", 0))
-        row(n, "±1 walks", result.stats["min_sum"], f"{ms:.2f}")
+        result, ms = t.timed(possibly_sum, comp, at_most)
+        t.row(n, "±1 walks", result.stats["min_sum"], ms)
     for n in (2, 4, 8, 16, 32):
         comp = arbitrary_walk_workload(n)
-        result, ms = timed(possibly_sum, comp, sum_predicate("v", ">=", 100))
-        row(n, "arbitrary", result.stats["max_sum"], f"{ms:.2f}")
+        result, ms = t.timed(possibly_sum, comp, at_least)
+        t.row(n, "arbitrary", result.stats["max_sum"], ms)
 
 
-def f1_sum_eq_unit() -> None:
-    header("F1-sum-eq-unit", "sum = k is polynomial under ±1 steps (Thm 7)")
-    row("processes", "k", "holds", "min..max", "time_ms")
+def f1_sum_eq_unit(t: Table) -> None:
+    t.header("F1-sum-eq-unit", "sum = k is polynomial under ±1 steps (Thm 7)")
+    t.row("processes", "k", "holds", "min..max", "time_ms")
     for n in (2, 4, 8, 16, 32):
         comp = unit_walk_workload(n)
         pred = sum_predicate("v", "==", n // 2)
-        result, ms = timed(possibly_sum, comp, pred)
-        row(n, n // 2, result.holds,
-            f"{result.stats['min_sum']}..{result.stats['max_sum']}",
-            f"{ms:.2f}")
-    row("definitely(sum = 0), small scale:", "", "", "", "")
+        result, ms = t.timed(possibly_sum, comp, pred)
+        t.row(n, n // 2, result.holds,
+              f"{result.stats['min_sum']}..{result.stats['max_sum']}", ms)
+    t.row("definitely(sum = 0), small scale:", "", "", "", "")
+    zero = sum_predicate("v", "==", 0)
     for n in (2, 3, 4):
         comp = unit_walk_workload(n, events_per_process=6)
-        result, ms = timed(definitely_sum, comp, sum_predicate("v", "==", 0))
-        row(n, 0, result.holds, "-", f"{ms:.2f}")
+        result, ms = t.timed(definitely_sum, comp, zero)
+        assert result.algorithm == "theorem7-unit-step"
+        t.row(n, 0, result.holds, "-", ms)
 
 
-def f1_sum_eq_arbitrary() -> None:
-    header(
+def f1_sum_eq_arbitrary(t: Table) -> None:
+    t.header(
         "F1-sum-eq-arb",
         "sum = k is NP-complete under arbitrary increments (Thm 2): "
         "exponential exact engine vs flat ±1 contrast",
     )
-    row("elements", "engine", "reachable_sums", "time_ms")
+    t.row("elements", "engine", "reachable_sums", "time_ms")
     for n in (8, 10, 12, 14, 16, 18):
         comp, pred = subset_sum_to_detection(exponential_subset_sum(n))
-        result, ms = timed(possibly_sum_eq_exact, comp, pred)
-        row(n, "exact (sumset DP)", result.stats["achievable_sums"],
-            f"{ms:.2f}")
+        result, ms = t.timed(possibly_sum_eq_exact, comp, pred)
+        # The middle target is a subset sum (its binary digits).
+        assert result.holds and result.algorithm == "sumset-dp"
+        t.row(n, "exact (sumset DP)", result.stats["achievable_sums"], ms)
+    one = sum_predicate("v", "==", 1)
     for n in (8, 10, 12, 14, 16, 18):
         comp = unit_walk_workload(n, events_per_process=16)
-        result, ms = timed(possibly_sum, comp, sum_predicate("v", "==", 1))
-        row(n, "±1 (Theorem 7)", "-", f"{ms:.2f}")
+        result, ms = t.timed(possibly_sum, comp, one)
+        t.row(n, "±1 (Theorem 7)", "-", ms)
 
 
-def f2() -> None:
-    header("F2", "the paper's Figure 2 computation, validated")
+def f2(t: Table) -> None:
+    t.header("F2", "the paper's Figure 2 computation, validated")
     from repro.computation import ComputationBuilder, least_consistent_cut
 
     builder = ComputationBuilder(4)
@@ -201,100 +255,113 @@ def f2() -> None:
     comp = builder.build()
     labels = comp.label_index()
     e, f, g, h = labels["e"], labels["f"], labels["g"], labels["h"]
-    row("fact", "value")
-    row("e and h consistent", comp.pairwise_consistent(e, h))
-    row("f happened-before g", comp.happened_before(f, g))
-    row("e and h independent", comp.concurrent(e, h))
-    row("f and g independent", comp.concurrent(f, g))
-    row("consistent cuts", count_consistent_cuts(comp))
-    row("cut through e and h",
-        least_consistent_cut(comp, [e, h]).frontier)
+    t.row("fact", "value")
+    t.row("e and h consistent", comp.pairwise_consistent(e, h))
+    t.row("f happened-before g", comp.happened_before(f, g))
+    t.row("e and h independent", comp.concurrent(e, h))
+    t.row("f and g independent", comp.concurrent(f, g))
+    t.row("consistent cuts", count_consistent_cuts(comp))
+    t.row("cut through e and h",
+          least_consistent_cut(comp, [e, h]).frontier)
 
 
-def f3() -> None:
-    header("F3", "Figure 3 reduction: SAT <=> possibly(B) on the gadget")
-    row("clauses(src)", "clauses(nm)", "processes", "sat", "detected",
-        "invocations", "time_ms")
+def f3(t: Table) -> None:
+    t.header("F3", "Figure 3 reduction: SAT <=> possibly(B) on the gadget")
+    t.row("clauses(src)", "clauses(nm)", "processes", "sat", "detected",
+          "invocations", "time_ms")
     for nc in (4, 6, 8, 10):
         formula, _ = to_nonmonotone_3cnf(random_3cnf(max(4, nc), nc, seed=nc))
         instance = satisfiability_to_detection(formula)
         sat = dpll_solve(instance.formula) is not None
-        result, ms = timed(
+        result, ms = t.timed(
             detect_by_chain_choice, instance.computation, instance.predicate
         )
         assert result.holds == sat
-        row(nc, len(instance.formula.clauses),
-            instance.computation.num_processes, sat, result.holds,
-            result.stats["invocations"], f"{ms:.2f}")
+        t.row(nc, len(instance.formula.clauses),
+              instance.computation.num_processes, sat, result.holds,
+              result.stats["invocations"], ms)
 
 
-def t_sym() -> None:
-    header("T-sym", "Section 4.3 symmetric predicates on a resource pool")
+def t_sym(t: Table) -> None:
+    t.header("T-sym", "Section 4.3 symmetric predicates on a resource pool")
     workers, capacity = 8, 3
-    comp = build_resource_pool(workers, capacity, rounds=3, seed=5)
+    comp = protocols.build_resource_pool(workers, capacity, rounds=3, seed=5)
     n = workers + 1
-    row("predicate", "holds", "time_ms")
-    for name, pred in (
-        ("absence of simple majority", absence_of_simple_majority("busy", n)),
+    t.row("predicate", "holds", "time_ms")
+    for name, pred, expected in (
+        ("absence of simple majority", absence_of_simple_majority("busy", n),
+         True),  # the initial state has nobody busy
+        ("absence of two-thirds majority",
+         absence_of_two_thirds_majority("busy", n), True),
         (f"exactly {capacity} busy (saturation)",
-         exactly_k_tokens("busy", n, capacity)),
+         exactly_k_tokens("busy", n, capacity), None),
+        # The coordinator enforces the capacity.
         (f"exactly {capacity + 1} busy (over capacity)",
-         exactly_k_tokens("busy", n, capacity + 1)),
-        ("exclusive-or", exclusive_or("busy", n)),
+         exactly_k_tokens("busy", n, capacity + 1), False),
+        # A single busy worker is an odd count.
+        ("exclusive-or", exclusive_or("busy", n), True),
+        ("not-all-equal", not_all_equal("busy", n), True),
     ):
-        result, ms = timed(possibly_symmetric, comp, pred)
-        row(name, result.holds, f"{ms:.2f}")
+        result, ms = t.timed(possibly_symmetric, comp, pred)
+        assert expected is None or result.holds == expected, name
+        t.row(name, result.holds, ms)
 
 
-def t_lattice() -> None:
-    header("T-lattice", "the combinatorial explosion (lattice size vs n)")
-    row("processes", "consistent cuts", "time_ms")
+def t_lattice(t: Table) -> None:
+    t.header("T-lattice", "the combinatorial explosion (lattice size vs n)")
+    t.row("processes", "consistent cuts", "time_ms")
+    events = 4
     for n in (2, 3, 4, 5, 6):
-        comp = random_computation(n, 4, 0.1, seed=13)
-        count, ms = timed(count_consistent_cuts, comp)
-        row(n, count, f"{ms:.2f}")
+        comp = random_computation(n, events, 0.1, seed=13)
+        count, ms = t.timed(count_consistent_cuts, comp)
+        # With density 0.1 the lattice stays near the full grid.
+        assert (events + 1) ** (n - 1) <= count <= (events + 1) ** n
+        t.row(n, count, ms)
 
 
-def t_chain() -> None:
-    header(
+def t_chain(t: Table) -> None:
+    t.header(
         "T-chain",
         "ablation: chain-cover (c^m) vs process-choice (k^m) combinations",
     )
-    row("groups", "chains/group", "satisfiable", "chain combos",
-        "process combos", "speedup", "chain_ms", "process_ms")
+    t.row("groups", "chains/group", "satisfiable", "chain combos",
+          "process combos", "speedup", "chain_ms", "process_ms")
+    k = 4
     for satisfiable in (True, False):
         for m in (2, 4, 6, 8):
             for c in (1, 2):
                 comp, pred = chain_structured_group(
-                    m, 4, chains_per_group=c, satisfiable=satisfiable
+                    m, k, chains_per_group=c, satisfiable=satisfiable
                 )
-                chain, ms_chain = timed(detect_by_chain_choice, comp, pred)
-                proc, ms_proc = timed(detect_by_process_choice, comp, pred)
+                chain, ms_chain = t.timed(detect_by_chain_choice, comp, pred)
+                proc, ms_proc = t.timed(detect_by_process_choice, comp, pred)
                 assert chain.holds == proc.holds == satisfiable
-                row(m, c, satisfiable, chain.stats["combinations"],
-                    proc.stats["combinations"],
-                    f"{proc.stats['combinations'] / chain.stats['combinations']:.0f}x",
-                    f"{ms_chain:.2f}", f"{ms_proc:.2f}")
+                combos = (chain.stats["combinations"],
+                          proc.stats["combinations"])
+                assert combos == (c**m, k**m)
+                t.row(m, c, satisfiable, *combos,
+                      f"{combos[1] / combos[0]:.0f}x", ms_chain, ms_proc)
 
 
-def t_parallel() -> None:
-    header(
+def t_parallel(t: Table) -> None:
+    t.header(
         "T-parallel",
         "memoized causality index + parallel sweep on the multi-combination "
         "singular k-CNF tier",
     )
-    row("groups", "combos", "serial_ms", "parallel4_ms", "parallel4_speedup")
+    t.row("groups", "combos", "serial_ms", "parallel4_ms", "parallel4_speedup")
     for m in (6, 7):
         comp, pred = chain_structured_group(
             m, 4, chains_per_group=4, events_per_process=8,
             satisfiable=False,
         )
-        serial, ms_serial = timed(detect_by_chain_choice, comp, pred)
-        par, ms_par = timed(detect_by_chain_choice, comp, pred, parallel=4)
+        serial, ms_serial = t.timed(detect_by_chain_choice, comp, pred)
+        par, ms_par = t.timed(detect_by_chain_choice, comp, pred, parallel=4)
         assert serial.holds == par.holds == False  # noqa: E712
-        assert serial.stats["invocations"] == par.stats["invocations"]
-        row(m, serial.stats["combinations"], f"{ms_serial:.1f}",
-            f"{ms_par:.1f}", f"{ms_serial / ms_par:.2f}x")
+        assert serial.stats["combinations"] == 4**m
+        assert serial.stats["invocations"] == par.stats["invocations"] == 4**m
+        t.row(m, serial.stats["combinations"], ms_serial, ms_par,
+              ms_serial / ms_par)
     # Determinism spot check: the parallel driver must return the very
     # witness the serial loop finds.
     comp, pred = chain_structured_group(
@@ -304,24 +371,24 @@ def t_parallel() -> None:
     par = detect_by_chain_choice(comp, pred, parallel=4)
     assert serial.holds and par.holds
     assert serial.witness.frontier == par.witness.frontier
-    row("witness determinism (4 workers)", "ok", "-", "-", "-")
+    t.row("witness determinism (4 workers)", "ok", "-", "-", "-")
 
 
-def t_workers() -> None:
+def t_workers(t: Table) -> None:
     import os
 
     cores = len(os.sched_getaffinity(0)) if hasattr(
         os, "sched_getaffinity"
     ) else (os.cpu_count() or 1)
-    header(
+    t.header(
         "T-workers",
         "worker scaling of the batched combination sweep on the T-chain "
         f"and T-parallel hot workloads ({cores} core(s) available; "
         "wall-clock speedup requires spare cores, the verdict and stat "
         "invariants hold regardless)",
     )
-    row("workload", "combos", "w1_ms", "w2_ms", "w4_ms",
-        "speedup_w2", "speedup_w4")
+    t.row("workload", "combos", "w1_ms", "w2_ms", "w4_ms",
+          "speedup_w2", "speedup_w4")
     workloads = (
         (
             "process-choice m=8",
@@ -343,7 +410,7 @@ def t_workers() -> None:
         results, times = {}, {}
         for workers in (1, 2, 4):
             parallel = None if workers == 1 else workers
-            results[workers], times[workers] = timed(
+            results[workers], times[workers] = t.timed(
                 engine, comp, pred, parallel=parallel
             )
         # Worker count must never change the verdict or the amount of
@@ -352,26 +419,25 @@ def t_workers() -> None:
         assert (
             len({r.stats["invocations"] for r in results.values()}) == 1
         )
-        row(name, results[1].stats["combinations"],
-            f"{times[1]:.1f}", f"{times[2]:.1f}", f"{times[4]:.1f}",
-            f"{times[1] / times[2]:.2f}x", f"{times[1] / times[4]:.2f}x")
+        t.row(name, results[1].stats["combinations"],
+              times[1], times[2], times[4],
+              times[1] / times[2], times[1] / times[4])
 
 
-def t_slice() -> None:
-    header("T-slice", "slicing vs filtering the lattice (satisfying cuts)")
+def t_slice(t: Table) -> None:
+    t.header("T-slice", "slicing vs filtering the lattice (satisfying cuts)")
     from repro.computation import iter_consistent_cuts
-    from repro.predicates import conjunctive, local
     from repro.trace import BoolVar
 
-    row("processes", "lattice", "satisfying", "slice_ms", "filter_ms")
+    t.row("processes", "lattice", "satisfying", "slice_ms", "filter_ms")
     for n in (3, 4, 5):
         comp = random_computation(
             n, 5, 0.2, seed=29, variables=[BoolVar("x", 0.45)]
         )
         pred = conjunctive(*(local(p, "x") for p in range(n)))
         slc = ConjunctiveSlice(comp, pred)
-        count, ms_slice = timed(slc.count)
-        total, ms_filter = timed(
+        count, ms_slice = t.timed(slc.count)
+        total, ms_filter = t.timed(
             lambda: sum(
                 1 for cut in iter_consistent_cuts(comp)
                 if pred.evaluate(cut)
@@ -379,43 +445,42 @@ def t_slice() -> None:
         )
         lattice = count_consistent_cuts(comp)
         assert count == total
-        row(n, lattice, count, f"{ms_slice:.2f}", f"{ms_filter:.2f}")
+        t.row(n, lattice, count, ms_slice, ms_filter)
 
 
-def t_definitely() -> None:
-    header(
+def t_definitely(t: Table) -> None:
+    t.header(
         "T-definitely",
         "ablation: interval-anchor vs lattice reachability for "
         "definitely(conjunctive)",
     )
     from repro.detection import definitely_conjunctive, definitely_enumerate
-    from repro.predicates import conjunctive, local
     from repro.slicing import sliced_definitely_enumerate
     from repro.trace import BoolVar
 
-    row("processes", "holds", "anchor_ms", "lattice cuts", "lattice_ms",
-        "sliced cuts", "sliced_ms", "reduction")
+    t.row("processes", "holds", "anchor_ms", "lattice cuts", "lattice_ms",
+          "sliced cuts", "sliced_ms", "reduction")
     for n in (3, 4, 5, 6):
         comp = random_computation(
             n, 6, 0.25, seed=41, variables=[BoolVar("x", 0.5)]
         )
         pred = conjunctive(*(local(p, "x") for p in range(n)))
-        fast, ms_fast = timed(definitely_conjunctive, comp, pred)
-        slow, ms_slow = timed(definitely_enumerate, comp, pred)
-        sliced, ms_sliced = timed(sliced_definitely_enumerate, comp, pred)
+        fast, ms_fast = t.timed(definitely_conjunctive, comp, pred)
+        slow, ms_slow = t.timed(definitely_enumerate, comp, pred)
+        sliced, ms_sliced = t.timed(sliced_definitely_enumerate, comp, pred)
         assert fast.holds == slow.holds == sliced.holds
-        row(n, fast.holds, f"{ms_fast:.2f}",
-            slow.stats.get("cuts_explored", "-"), f"{ms_slow:.2f}",
-            sliced.stats.get("cuts_explored", "-"), f"{ms_sliced:.2f}",
-            f"{sliced.stats.get('reduction', 1.0):.1f}x")
+        t.row(n, fast.holds, ms_fast,
+              slow.stats.get("cuts_explored", "-"), ms_slow,
+              sliced.stats.get("cuts_explored", "-"), ms_sliced,
+              f"{sliced.stats.get('reduction', 1.0):.1f}x")
 
 
-def t_online() -> None:
-    header("T-online", "streaming monitor replay throughput")
+def t_online(t: Table) -> None:
+    t.header("T-online", "streaming monitor replay throughput")
     from repro.computation import some_linearization
     from repro.trace import BoolVar
 
-    row("processes", "observations", "detected", "time_ms", "obs/ms")
+    t.row("processes", "observations", "detected", "time_ms", "obs/ms")
     for n in (4, 8, 16):
         comp = random_computation(
             n, 32, 0.2, seed=31, variables=[BoolVar("x", 0.3)]
@@ -440,23 +505,59 @@ def t_online() -> None:
                 monitor.finish_all()
             return monitor
 
-        monitor, ms = timed(replay)
-        row(n, len(stream), monitor.detected, f"{ms:.2f}",
-            f"{len(stream) / max(ms, 0.001):.0f}")
+        monitor, ms = t.timed(replay)
+        t.row(n, len(stream), monitor.detected, ms,
+              len(stream) / max(ms, 0.001))
 
 
-def t_classify() -> None:
-    header(
+def t_protocols(t: Table) -> None:
+    t.header("T-protocols", "the motivating queries on protocol traces")
+    from repro.detection import (
+        definitely_enumerate,
+        definitely_symmetric,
+        detect_stable,
+    )
+
+    mutex = conjunctive(local(1, "cs"), local(2, "cs"))
+    t.row("query", "engine", "events", "holds", "time_ms")
+    for name, comp, engine, pred, expected in (
+        ("mutual exclusion (token ring)",
+         protocols.build_token_ring(6, hops=10, seed=21, rogue_process=2),
+         detect_conjunctive, mutex, None),
+        ("leader uniqueness", protocols.build_leader_election(8, seed=21),
+         definitely_symmetric, exactly_k_tokens("leader", 8, 1), True),
+        ("replication progress", protocols.build_primary_backup(3, 4, seed=21),
+         possibly_sum, sum_predicate("applied", "==", 8), True),
+        ("pool saturation",
+         protocols.build_resource_pool(6, 2, rounds=3, seed=21),
+         possibly_symmetric, exactly_k_tokens("busy", 7, 2), None),
+        ("commit point", protocols.build_two_phase_commit(4, seed=21),
+         definitely_enumerate,
+         conjunctive(*(local(p, "committed") for p in range(1, 5))), True),
+        ("mutual exclusion (Ricart-Agrawala)",
+         protocols.build_ricart_agrawala(5, rounds=2, seed=21, never_defers=2),
+         detect_conjunctive, mutex, None),
+        ("deadlock",
+         protocols.build_lock_scenario(False, seed=21, stagger=0.3),
+         detect_stable, conjunctive(local(2, "blocked"), local(3, "blocked")),
+         True),
+    ):
+        result, ms = t.timed(engine, comp, pred)
+        assert expected is None or result.holds == expected, name
+        t.row(name, engine.__name__, comp.total_events(), result.holds, ms)
+
+
+def t_classify(t: Table) -> None:
+    t.header(
         "T-classify",
         "static classification of opaque conjunctive predicates: "
         "inference + fast engine vs raw lattice enumeration",
     )
     from repro.analysis.classify import classification_for, clear_cache, opaquify
-    from repro.detection import detect, possibly_enumerate
-    from workloads import conjunctive_workload
+    from repro.detection import detect
 
-    row("processes", "events", "engine", "holds", "classify_ms",
-        "dispatch_ms", "enumeration_ms", "speedup")
+    t.row("processes", "events", "engine", "holds", "classify_ms",
+          "dispatch_ms", "enumeration_ms", "speedup")
     calibration = (5, 8)
     for n, events in ((3, 6), (4, 8), calibration):
         comp, pred = conjunctive_workload(n, events_per_process=events)
@@ -464,16 +565,15 @@ def t_classify() -> None:
         clear_cache()
         # Cold: one full classification (parse + rewrite + differential
         # validation); dispatch then reuses the cached certificate.
-        certificate, ms_classify = timed(classification_for, wrapped, comp)
+        certificate, ms_classify = t.timed(classification_for, wrapped, comp)
         assert certificate is not None and certificate.validated
-        inferred, ms_dispatch = timed(detect, comp, wrapped)
+        inferred, ms_dispatch = t.timed(detect, comp, wrapped)
         assert inferred.algorithm.startswith("classify:")
-        enum, ms_enum = timed(possibly_enumerate, comp, wrapped)
+        enum, ms_enum = t.timed(possibly_enumerate, comp, wrapped)
         assert inferred.holds == enum.holds
         speedup = ms_enum / (ms_classify + ms_dispatch)
-        row(n, comp.total_events(), inferred.algorithm, inferred.holds,
-            f"{ms_classify:.2f}", f"{ms_dispatch:.2f}", f"{ms_enum:.2f}",
-            f"{speedup:.0f}x")
+        t.row(n, comp.total_events(), inferred.algorithm, inferred.holds,
+              ms_classify, ms_dispatch, ms_enum, speedup)
         if (n, events) == calibration:
             # The acceptance bounds: at calibration size the inferred
             # fast engine (classification cost included) beats raw
@@ -488,12 +588,10 @@ def t_classify() -> None:
             )
 
 
-def t_service() -> None:
-    header("T-service", "multi-session monitoring service under load")
-    from bench_service_load import run_load
-
-    row("sessions", "workers", "applied", "shed", "obs/s",
-        "ttd_p50_ms", "ttd_p95_ms", "queue_hw")
+def t_service(t: Table) -> None:
+    t.header("T-service", "multi-session monitoring service under load")
+    t.row("sessions", "workers", "applied", "shed", "obs/s",
+          "ttd_p50_ms", "ttd_p95_ms", "queue_hw")
     for sessions, workers in ((8, 2), (16, 4), (32, 4)):
         summary = run_load(
             sessions=sessions,
@@ -503,23 +601,26 @@ def t_service() -> None:
             policy="degrade",
             seed=7,
         )
+        # The timed point is the load phase: feeding every session and
+        # closing it.  Workload generation and service boot are set-up.
+        t.record(summary["wall_s"] * 1000.0)
         assert summary["queue_bound_ok"], (
             "queue memory bound violated: high water "
             f"{summary['max_queue_high_water']} > capacity + controls"
         )
-        row(
+        t.row(
             sessions,
             workers,
             summary["applied"],
             summary["shed"],
-            f"{summary['throughput_obs_per_s']:.0f}",
-            f"{summary['ttd_p50_ms']:.1f}",
-            f"{summary['ttd_p95_ms']:.1f}",
+            summary["throughput_obs_per_s"],
+            summary["ttd_p50_ms"],
+            summary["ttd_p95_ms"],
             summary["max_queue_high_water"],
         )
 
 
-EXPERIMENTS: Dict[str, Callable[[], None]] = {
+EXPERIMENTS: Dict[str, Callable[[Table], None]] = {
     "F1-conj": f1_conj,
     "F1-sing-special": f1_sing_special,
     "F1-sing-general": f1_sing_general,
@@ -536,51 +637,74 @@ EXPERIMENTS: Dict[str, Callable[[], None]] = {
     "T-slice": t_slice,
     "T-definitely": t_definitely,
     "T-online": t_online,
+    "T-protocols": t_protocols,
     "T-classify": t_classify,
     "T-service": t_service,
 }
 
 
-#: Experiments faster than this in the baseline are skipped by the
-#: regression gate: their timings are scheduler noise, not signal.
-NOISE_FLOOR_MS = 20.0
+def run_passes(
+    wanted: List[str], capture: bool
+) -> Tuple[Dict[str, List[Table]], Dict[str, Dict]]:
+    """One warm-up pass per experiment, then ``PASSES`` timed passes.
+
+    Returns the timed passes' tables per experiment id, and — with
+    ``capture`` — the metrics snapshot of each experiment's warm-up.
+    """
+    snapshots: Dict[str, Dict] = {}
+    for exp_id in wanted:
+        if capture:
+            with obs.Capture() as cap:
+                EXPERIMENTS[exp_id](Table())
+            snapshots[exp_id] = cap.registry.snapshot()
+        else:
+            EXPERIMENTS[exp_id](Table())
+    passes: Dict[str, List[Table]] = {exp_id: [] for exp_id in wanted}
+    order = list(wanted)
+    rng = random.Random(ORDER_SEED)
+    for _ in range(PASSES):
+        rng.shuffle(order)
+        for exp_id in order:
+            table = Table()
+            EXPERIMENTS[exp_id](table)
+            passes[exp_id].append(table)
+    return passes, snapshots
 
 
 def check_baseline(
     baseline_path: str,
-    wall_times: Dict[str, float],
-    max_slowdown: float,
+    medians: Dict[str, float],
+    iqrs: Dict[str, float],
 ) -> int:
-    """Compare this run's wall times against a committed baseline.
+    """Compare this run's medians against a committed baseline.
 
     Returns the number of regressions (experiments slower than
-    ``max_slowdown`` × their baseline time, baseline above the noise
+    ``MAX_SLOWDOWN`` × their baseline median, baseline above the noise
     floor).
     """
     with open(baseline_path) as handle:
         baseline = json.load(handle)["experiments"]
     print(f"\n## Baseline comparison ({baseline_path}, "
-          f"max slowdown {max_slowdown:.1f}x)")
-    row("experiment", "baseline_ms", "current_ms", "ratio", "verdict")
+          f"max slowdown {MAX_SLOWDOWN:.1f}x, medians of {PASSES} passes)")
+    print_row("experiment", "baseline_ms", "median_ms", "iqr_ms", "ratio",
+              "verdict")
     regressions = 0
-    for exp_id, current_ms in wall_times.items():
+    for exp_id, current_ms in medians.items():
+        cells = (f"{current_ms:.1f}", f"{iqrs[exp_id]:.1f}")
         entry = baseline.get(exp_id)
         if entry is None:
-            row(exp_id, "-", f"{current_ms:.1f}", "-", "no baseline")
+            print_row(exp_id, "-", *cells, "-", "no baseline")
             continue
         base_ms = entry["wall_time_ms"]
         ratio = current_ms / base_ms if base_ms > 0 else float("inf")
         if base_ms < NOISE_FLOOR_MS:
-            row(exp_id, f"{base_ms:.1f}", f"{current_ms:.1f}",
-                f"{ratio:.2f}", "skipped (noise floor)")
-            continue
-        if ratio > max_slowdown:
+            verdict = "skipped (noise floor)"
+        elif ratio > MAX_SLOWDOWN:
             regressions += 1
-            row(exp_id, f"{base_ms:.1f}", f"{current_ms:.1f}",
-                f"{ratio:.2f}", "REGRESSION")
+            verdict = "REGRESSION"
         else:
-            row(exp_id, f"{base_ms:.1f}", f"{current_ms:.1f}",
-                f"{ratio:.2f}", "ok")
+            verdict = "ok"
+        print_row(exp_id, f"{base_ms:.1f}", *cells, f"{ratio:.2f}", verdict)
     return regressions
 
 
@@ -588,7 +712,7 @@ def append_ledger_record(
     ledger_flag: "str | None",
     argv: List[str],
     wanted: List[str],
-    wall_times: Dict[str, float],
+    medians: Dict[str, float],
     regressions: int,
     exit_code: int,
     started_at: str,
@@ -605,7 +729,7 @@ def append_ledger_record(
         "experiments": len(wanted),
         "regressions": regressions,
     }
-    for exp_id, ms in wall_times.items():
+    for exp_id, ms in medians.items():
         stats[f"wall.{exp_id}"] = round(ms, 3)
     record = {
         "command": "bench",
@@ -634,26 +758,18 @@ def main(argv: List[str]) -> int:
     parser.add_argument("experiments", nargs="*", metavar="EXP_ID")
     parser.add_argument(
         "--json", dest="json_path", default=None, metavar="PATH",
-        help="write per-experiment metrics snapshots (counters, gauges, "
-        "histogram summaries) as JSON",
+        help="write per-experiment medians, IQRs and metrics snapshots "
+        "(counters, gauges, histogram summaries) as JSON",
     )
     parser.add_argument(
         "--baseline", default=None, metavar="BENCH.json",
-        help="compare wall times against a committed --json snapshot; "
-        "exit 1 when any experiment exceeds --max-slowdown",
-    )
-    parser.add_argument(
-        "--max-slowdown", type=float, default=2.0, metavar="RATIO",
-        help="regression threshold for --baseline (default 2.0)",
+        help="compare medians against a committed --json snapshot; exit 1 "
+        f"when any experiment is more than {MAX_SLOWDOWN:.1f}x slower",
     )
     parser.add_argument(
         "--ledger", default=None, metavar="PATH",
         help="run-ledger path (default: $REPRO_RUNS or .repro/runs.jsonl; "
         "'off' disables)",
-    )
-    parser.add_argument(
-        "--no-ledger", action="store_true",
-        help="do not append a run record to the ledger",
     )
     args = parser.parse_args(argv)
     wanted = args.experiments or list(EXPERIMENTS)
@@ -665,42 +781,38 @@ def main(argv: List[str]) -> int:
     started_at = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     run_wall_start = time.perf_counter()
     run_cpu_start = time.process_time()
+    passes, snapshots = run_passes(wanted, args.json_path is not None)
     print("# Experiment report (regenerated)")
-    metrics: Dict[str, Dict] = {}
-    wall_times: Dict[str, float] = {}
+    medians: Dict[str, float] = {}
+    iqrs: Dict[str, float] = {}
     for exp_id in wanted:
-        if args.json_path is not None:
-            from repro import obs
-
-            start = time.perf_counter()
-            with obs.Capture() as cap:
-                EXPERIMENTS[exp_id]()
-            wall_times[exp_id] = (time.perf_counter() - start) * 1000.0
-            metrics[exp_id] = {
-                "wall_time_ms": wall_times[exp_id],
-                "metrics": cap.registry.snapshot(),
-            }
-        else:
-            start = time.perf_counter()
-            EXPERIMENTS[exp_id]()
-            wall_times[exp_id] = (time.perf_counter() - start) * 1000.0
+        samples = [table.timed_ms for table in passes[exp_id]]
+        q1, _, q3 = statistics.quantiles(samples, n=4)
+        medians[exp_id] = statistics.median(samples)
+        iqrs[exp_id] = q3 - q1
+        print_table(passes[exp_id], medians[exp_id], iqrs[exp_id])
     if args.json_path is not None:
+        experiments = {
+            exp_id: {
+                "wall_time_ms": round(medians[exp_id], 3),
+                "iqr_ms": round(iqrs[exp_id], 3),
+                "metrics": snapshots[exp_id],
+            }
+            for exp_id in wanted
+        }
         with open(args.json_path, "w") as handle:
-            json.dump({"experiments": metrics}, handle, indent=2)
+            json.dump({"experiments": experiments}, handle, indent=2)
         print(f"\nwrote metrics snapshots to {args.json_path}")
     regressions = 0
     if args.baseline is not None:
-        regressions = check_baseline(
-            args.baseline, wall_times, args.max_slowdown
-        )
+        regressions = check_baseline(args.baseline, medians, iqrs)
     code = 1 if regressions else 0
-    if not args.no_ledger:
-        append_ledger_record(
-            args.ledger, argv, wanted, wall_times, regressions, code,
-            started_at,
-            wall_ms=(time.perf_counter() - run_wall_start) * 1000.0,
-            cpu_ms=(time.process_time() - run_cpu_start) * 1000.0,
-        )
+    append_ledger_record(
+        args.ledger, argv, wanted, medians, regressions, code,
+        started_at,
+        wall_ms=(time.perf_counter() - run_wall_start) * 1000.0,
+        cpu_ms=(time.process_time() - run_cpu_start) * 1000.0,
+    )
     if regressions:
         print(f"\n{regressions} experiment(s) regressed", file=sys.stderr)
     return code

@@ -117,7 +117,9 @@ class DetectionEncoding:
             if assignment.get(var, False):
                 frontier[p] = max(frontier[p], i + 1)
         cut = Cut(self.computation, frontier)
-        assert cut.is_consistent(), "encoding admitted an inconsistent cut"
+        # Raises rather than asserts, so the check survives ``python -O``.
+        if not cut.is_consistent():
+            raise AssertionError("encoding admitted an inconsistent cut")
         return cut
 
 
@@ -137,5 +139,6 @@ def possibly_via_sat(
     if assignment is None:
         return None
     witness = encoding.cut_from_assignment(assignment)
-    assert predicate.evaluate(witness)
+    if not predicate.evaluate(witness):
+        raise AssertionError("SAT witness does not satisfy the predicate")
     return witness

@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.computation import Computation, ComputationBuilder
+
+# The experiment harness (benchmarks/report.py) and its workloads.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
 
 
 def pytest_configure(config):

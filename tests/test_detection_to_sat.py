@@ -6,7 +6,11 @@ import pytest
 
 from repro.detection import possibly_enumerate
 from repro.predicates import clause, cnf, local
-from repro.reductions import encode_possibly, possibly_via_sat
+from repro.reductions import (
+    detection_to_sat,
+    encode_possibly,
+    possibly_via_sat,
+)
 from repro.trace import BoolVar, random_computation
 
 
@@ -38,6 +42,24 @@ class TestEncoding:
     def test_unsatisfiable_clause_handled(self, figure2):
         pred = cnf(clause(local(0, "missing")))
         assert possibly_via_sat(figure2, pred) is None
+
+    @pytest.mark.parametrize(
+        "assignment, message",
+        # {}: the initial cut, where no x holds.  {3: True}: the receive
+        # g = (2, 1) without its send f — an inconsistent cut.
+        [({}, "does not satisfy"), ({3: True}, "inconsistent cut")],
+    )
+    def test_bad_assignment_raises(
+        self, figure2, monkeypatch, assignment, message
+    ):
+        """The witness checks raise explicitly, so they also run under
+        ``python -O``."""
+        monkeypatch.setattr(
+            detection_to_sat, "dpll_solve", lambda formula: assignment
+        )
+        pred = cnf(clause(local(1, "x")), clause(local(2, "x")))
+        with pytest.raises(AssertionError, match=message):
+            possibly_via_sat(figure2, pred)
 
     def test_encoding_object_exposes_formula(self, figure2):
         pred = cnf(clause(local(0, "x")))

@@ -373,13 +373,8 @@ class TestRunsSubcommand:
 
 class TestBenchmarkLedger:
     def test_report_appends_bench_record(self, tmp_path, capsys):
-        import sys
+        import report
 
-        sys.path.insert(0, "benchmarks")
-        try:
-            import report
-        finally:
-            sys.path.pop(0)
         path = str(tmp_path / "bench.jsonl")
         code = report.main(["T-sym", "--ledger", path])
         assert code == 0
@@ -389,3 +384,45 @@ class TestBenchmarkLedger:
         assert record["stats"]["experiments"] == 1
         assert record["stats"]["regressions"] == 0
         assert record["stats"]["wall.T-sym"] > 0
+
+    def gate(self, monkeypatch, tmp_path, capsys, baseline):
+        """Gate two experiments — "slow" with a median of 50 ms (mean
+        214 ms), "fast" with 5 ms per pass — against ``baseline``;
+        returns (exit code, output, ledger record)."""
+        import report
+
+        assert report.PASSES == 5
+        slow = iter([999.0, 10.0, 50.0, 900.0, 50.0, 60.0])  # warm-up first
+        monkeypatch.setattr(report, "EXPERIMENTS", {
+            "slow": lambda t: t.record(next(slow)),
+            "fast": lambda t: t.record(5.0),
+        })
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps({"experiments": {
+            exp_id: {"wall_time_ms": ms} for exp_id, ms in baseline.items()
+        }}))
+        runs = str(tmp_path / "runs.jsonl")
+        code = report.main(["--baseline", str(path), "--ledger", runs])
+        (record,) = ledger.read_records(runs)
+        return code, capsys.readouterr().out, record
+
+    def test_gate_fails_above_bound_and_skips_floor(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # slow: 50 / 24 > 2x, above the floor; fast: 5 / 1, under it.
+        code, out, record = self.gate(
+            monkeypatch, tmp_path, capsys, {"slow": 24.0, "fast": 1.0}
+        )
+        assert code == 1
+        assert "REGRESSION" in out and "skipped (noise floor)" in out
+        assert record["verdict"] == "regressions"
+        assert record["stats"]["regressions"] == 1
+
+    def test_gate_passes_within_bound(self, monkeypatch, tmp_path, capsys):
+        code, out, record = self.gate(
+            monkeypatch, tmp_path, capsys, {"slow": 26.0}
+        )
+        assert code == 0
+        assert "no baseline" in out and "REGRESSION" not in out
+        assert record["stats"]["wall.slow"] == 50.0
+        assert record["stats"]["wall.fast"] == 5.0

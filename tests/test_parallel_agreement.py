@@ -15,6 +15,7 @@ from repro.detection import detect_singular
 from repro.predicates import CNFPredicate, Clause, Literal
 from repro.testkit.oracles import brute_possibly
 from repro.trace import BoolVar, grouped_computation
+from workloads import chain_structured_group
 
 PRED = CNFPredicate(
     [
@@ -44,6 +45,24 @@ def test_parallel2_and_indexed_serial_match_oracle(seed, ordering):
         f"seed={seed} ordering={ordering}: "
         f"serial={serial} parallel2={fanned} oracle={oracle}"
     )
+
+
+@pytest.mark.parametrize("satisfiable", [True, False])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parallel4_matches_serial_witness(seed, satisfiable):
+    """At 4 workers verdict, witness and scan counts equal the serial
+    sweep's: chunks are consumed in rank order."""
+    comp, pred = chain_structured_group(
+        3, 4, chains_per_group=3, events_per_process=6,
+        seed=seed, satisfiable=satisfiable,
+    )
+    serial = detect_singular(comp, pred, "chain-choice")
+    parallel = detect_singular(comp, pred, "chain-choice", parallel=4)
+    assert parallel.holds == serial.holds == satisfiable
+    assert parallel.stats["invocations"] == serial.stats["invocations"]
+    assert parallel.stats["advances"] == serial.stats["advances"]
+    if satisfiable:
+        assert parallel.witness.frontier == serial.witness.frontier
 
 
 class TestParallelMetricsParity:

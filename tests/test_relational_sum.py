@@ -76,6 +76,8 @@ class TestTheorem7:
         pred = sum_predicate("v", "==", k)
         result = possibly_sum_eq_unit(comp, pred)
         assert result.holds == (lo <= k <= hi)
+        if result.holds:
+            assert result.witness.variable_sum("v") == k
         # Equivalently: possibly(<=k) and possibly(>=k).
         le = possibly_sum(comp, sum_predicate("v", "<=", k)).holds
         ge = possibly_sum(comp, sum_predicate("v", ">=", k)).holds

@@ -137,6 +137,19 @@ class TestEquivalence:
         with pytest.raises(ValueError):
             witness_from_assignment(instance, {1: False, 2: False})
 
+    @pytest.mark.parametrize("pairs", [2, 4, 6, 8])
+    def test_unsatisfiable_gadget_sweeps_every_combination(self, pairs):
+        # (x1)(~x1)...(xp)(~xp): refuting it scans every combination.
+        formula = CNFFormula(
+            tuple((s * v,) for v in range(1, pairs + 1) for s in (1, -1))
+        )
+        instance = satisfiability_to_detection(formula)
+        result = detect_by_chain_choice(
+            instance.computation, instance.predicate
+        )
+        assert not result.holds
+        assert result.stats["invocations"] == result.stats["combinations"]
+
     def test_figure3_example_satisfiable(self):
         # (x1 v x2)(~x1 v ~x2)(x1 v ~x2)(~x1 v x2) forces x1 != x2 and
         # x1 == x2 simultaneously... check against DPLL rather than by hand.
