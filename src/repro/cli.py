@@ -106,6 +106,7 @@ def _progress_interval() -> float:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    from repro import obs
     from repro.obs.ledger import annotate
     from repro.obs.progress import (
         DeadlineExceeded,
@@ -131,36 +132,17 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         if sink is not None or args.deadline_ms is not None
         else nullcontext()
     )
+    capture = obs.Capture() if args.profile else nullcontext()
     try:
-        if args.profile:
-            from repro import obs
-
-            with prog_ctx, obs.Capture() as cap:
-                result = detect(
-                    computation,
-                    predicate,
-                    modality,
-                    parallel=args.parallel,
-                    slice=not args.no_slice,
-                    engine=args.engine,
-                    infer=not args.no_infer,
-                )
-            print("── span tree ──", file=sys.stderr)
-            print(obs.format_span_tree(cap.roots), file=sys.stderr)
-            print("── metrics ──", file=sys.stderr)
-            print(obs.format_metrics(cap.registry.snapshot()), file=sys.stderr)
-            annotate(spans=[root.to_dict() for root in cap.roots])
-        else:
-            with prog_ctx:
-                result = detect(
-                    computation,
-                    predicate,
-                    modality,
-                    parallel=args.parallel,
-                    slice=not args.no_slice,
-                    engine=args.engine,
-                    infer=not args.no_infer,
-                )
+        with prog_ctx, capture as cap:
+            result = detect(
+                computation,
+                predicate,
+                modality,
+                parallel=args.parallel,
+                engine=args.engine,
+                infer=not args.no_infer,
+            )
     except DeadlineExceeded as exc:
         payload = {
             "predicate": predicate.description(),
@@ -181,6 +163,12 @@ def _cmd_detect(args: argparse.Namespace) -> int:
             stats={"deadline_loop": exc.name, "deadline_done": exc.done},
         )
         return 7
+    if args.profile:
+        print("── span tree ──", file=sys.stderr)
+        print(obs.format_span_tree(cap.roots), file=sys.stderr)
+        print("── metrics ──", file=sys.stderr)
+        print(obs.format_metrics(cap.registry.snapshot()), file=sys.stderr)
+        annotate(spans=[root.to_dict() for root in cap.roots])
     annotate(
         verdict="holds" if result.holds else "not-holds",
         stats={k: _jsonable(v) for k, v in result.stats.items()},
@@ -969,11 +957,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override engine dispatch: 'work-optimal' is the strict "
         "conjunctive mode (CPDHB scan; possibly of conjunctive-viewable "
         "predicates only, anything else exits 2)",
-    )
-    p_detect.add_argument(
-        "--no-slice", action="store_true",
-        help="disable slice-first pruning of enumeration engines; "
-        "verdict and witness guarantees are unchanged (docs/ALGORITHMS.md)",
     )
     p_detect.add_argument(
         "--no-infer", action="store_true",

@@ -44,17 +44,19 @@ class Cut:
     __slots__ = ("_computation", "_frontier", "_hash")
 
     def __init__(self, computation: Computation, frontier: Sequence[int]):
-        frontier_t = tuple(int(c) for c in frontier)
-        if len(frontier_t) != computation.num_processes:
+        frontier_t = tuple(map(int, frontier))
+        # One clock row per event: len(rows[p]) == len(events_of(p)).
+        rows = computation._clk
+        if len(frontier_t) != len(rows):
             raise InvalidCutError(
                 f"frontier has {len(frontier_t)} components for "
                 f"{computation.num_processes} processes"
             )
-        for p, c in enumerate(frontier_t):
-            limit = len(computation.events_of(p))
-            if not 1 <= c <= limit:
+        for p, (c, clocks) in enumerate(zip(frontier_t, rows)):
+            if not 1 <= c <= len(clocks):
                 raise InvalidCutError(
-                    f"frontier component {c} for process {p} outside [1, {limit}]"
+                    f"frontier component {c} for process {p} outside "
+                    f"[1, {len(clocks)}]"
                 )
         self._computation = computation
         self._frontier = frontier_t

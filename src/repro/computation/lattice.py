@@ -114,8 +114,7 @@ def iter_levels(
     events.  Every run visits exactly one cut per level, which is why the
     Cooper–Marzullo ``definitely`` algorithm walks the lattice level by
     level.  Within a level the cuts come in :class:`LevelWalk` discovery
-    order, not sorted; each distinct cut is materialized once through the
-    shared interner.
+    order, not sorted.
 
     With ``bounds`` — a ``(least, greatest)`` frontier pair, typically a
     slice box from :mod:`repro.slicing.dispatch` — the walk starts at the
@@ -123,13 +122,11 @@ def iter_levels(
     levels of the box sublattice only.
     """
     from repro.obs.progress import tracker
-    from repro.perf.causality import CausalityIndex
 
-    interner = CausalityIndex.of(computation).interner
     trk = tracker("lattice.cuts")
     for level in LevelWalk(computation, bounds):
         trk.step(len(level))
-        yield [interner.get(frontier) for frontier in level]
+        yield [Cut(computation, frontier) for frontier in level]
 
 
 def _level_sizes(computation: Computation) -> Iterator[int]:

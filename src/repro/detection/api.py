@@ -22,11 +22,11 @@ equality and symmetric singletons, and the exact avoidance search
 otherwise.  :func:`detect` returns the full :class:`DetectionResult` with
 the witness cut and algorithm statistics.
 
-Every enumeration-based path is **slice-first** by default: the predicate's
+Every enumeration-based path is **slice-first**: the predicate's
 conjunctive over-approximation (see :mod:`repro.slicing.dispatch`) bounds
 the search to the slice sublattice, falling back to the unsliced engine
-when no useful approximation exists.  Pass ``slice=False`` to opt out —
-verdicts and witness guarantees are identical either way.
+when no useful approximation exists — verdicts and witness guarantees
+are those of the unsliced engine.
 
 Opaque predicates (``FunctionPredicate``, custom ``evaluate`` overrides)
 are **classified first** by default (``infer=True``): the static
@@ -42,9 +42,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.computation import Computation, Cut
+from repro.computation import Computation
 from repro.obs import STATE, registry, span
-from repro.detection.cooper_marzullo import possibly_enumerate
 from repro.detection.definitely_conjunctive import definitely_conjunctive
 from repro.detection.garg_waldecker import detect_conjunctive
 from repro.detection.relational_sum import definitely_sum, possibly_sum
@@ -104,7 +103,6 @@ def detect(
     predicate: GlobalPredicate,
     modality: Modality = Modality.POSSIBLY,
     parallel: Optional[int] = None,
-    slice: bool = True,
     engine: str = "auto",
     infer: bool = True,
 ) -> DetectionResult:
@@ -114,11 +112,6 @@ def detect(
     process-/chain-choice drivers) across a worker pool; verdicts and
     witnesses are identical to the serial runs.  Engines without internal
     parallelism ignore it.
-
-    ``slice`` (default True) lets enumeration-based paths restrict their
-    search to the sublattice of the predicate's conjunctive
-    over-approximation; pass False to force the unsliced engines.
-    Verdicts are identical either way.
 
     ``engine`` overrides dispatch: ``"auto"`` (default) picks by
     predicate structure; ``"work-optimal"`` is the strict conjunctive
@@ -150,21 +143,13 @@ def detect(
             result = _work_optimal(computation, predicate, modality, infer)
         else:
             if infer and _is_opaque(predicate):
-                result = _inferred(
-                    computation, predicate, modality, parallel, slice
-                )
+                result = _inferred(computation, predicate, modality, parallel)
             if result is None and modality is Modality.POSSIBLY:
                 result = _possibly(
-                    computation,
-                    predicate,
-                    parallel=parallel,
-                    use_slice=slice,
-                    infer=infer,
+                    computation, predicate, parallel=parallel, infer=infer
                 )
             elif result is None:
-                result = _definitely(
-                    computation, predicate, use_slice=slice, infer=infer
-                )
+                result = _definitely(computation, predicate, infer=infer)
         root.set(engine=result.algorithm, holds=result.holds)
         if STATE.enabled:
             registry().counter("detect.queries").inc()
@@ -175,24 +160,20 @@ def detect(
 def possibly(
     computation: Computation,
     predicate: GlobalPredicate,
-    slice: bool = True,
     infer: bool = True,
 ) -> bool:
     """Does some consistent cut of the computation satisfy the predicate?"""
-    return detect(
-        computation, predicate, Modality.POSSIBLY, slice=slice, infer=infer
-    ).holds
+    return detect(computation, predicate, Modality.POSSIBLY, infer=infer).holds
 
 
 def definitely(
     computation: Computation,
     predicate: GlobalPredicate,
-    slice: bool = True,
     infer: bool = True,
 ) -> bool:
     """Does every run of the computation pass through a satisfying cut?"""
     return detect(
-        computation, predicate, Modality.DEFINITELY, slice=slice, infer=infer
+        computation, predicate, Modality.DEFINITELY, infer=infer
     ).holds
 
 
@@ -201,7 +182,6 @@ def _inferred(
     predicate: GlobalPredicate,
     modality: Modality,
     parallel: Optional[int],
-    use_slice: bool,
 ) -> Optional[DetectionResult]:
     """Classify an opaque predicate and dispatch its certificate.
 
@@ -231,15 +211,10 @@ def _inferred(
             )
             if modality is Modality.POSSIBLY:
                 result = _possibly(
-                    computation,
-                    certificate.rewrite,
-                    parallel=parallel,
-                    use_slice=use_slice,
+                    computation, certificate.rewrite, parallel=parallel
                 )
             else:
-                result = _definitely(
-                    computation, certificate.rewrite, use_slice=use_slice
-                )
+                result = _definitely(computation, certificate.rewrite)
         else:
             sp.set(outcome="approximation-only")
             return None
@@ -299,7 +274,6 @@ def _possibly(
     computation: Computation,
     predicate: GlobalPredicate,
     parallel: Optional[int] = None,
-    use_slice: bool = True,
     infer: bool = True,
 ) -> DetectionResult:
     if isinstance(predicate, ConjunctivePredicate):
@@ -322,7 +296,7 @@ def _possibly(
         # sub-problem is a linear scan — far cheaper than the lattice).
         return detect_cnf_by_literal_choice(computation, predicate)
     if isinstance(predicate, RelationalSumPredicate):
-        return possibly_sum(computation, predicate, use_slice=use_slice)
+        return possibly_sum(computation, predicate)
     if isinstance(predicate, SymmetricPredicate):
         return possibly_symmetric(computation, predicate)
     if isinstance(predicate, OrPredicate):
@@ -331,11 +305,7 @@ def _possibly(
             explored = 0
             for part in predicate.parts:
                 result = _possibly(
-                    computation,
-                    part,
-                    parallel=parallel,
-                    use_slice=use_slice,
-                    infer=infer,
+                    computation, part, parallel=parallel, infer=infer
                 )
                 explored += int(result.stats.get("cuts_explored", 0))
                 if result.holds:
@@ -350,37 +320,30 @@ def _possibly(
                 algorithm="disjunction",
                 stats={"cuts_explored": explored},
             )
-    if use_slice:
-        from repro.slicing.dispatch import sliced_possibly_enumerate
+    from repro.slicing.dispatch import sliced_possibly_enumerate
 
-        return sliced_possibly_enumerate(computation, predicate, infer=infer)
-    return possibly_enumerate(computation, predicate)
+    return sliced_possibly_enumerate(computation, predicate, infer=infer)
 
 
 def _definitely(
     computation: Computation,
     predicate: GlobalPredicate,
-    use_slice: bool = True,
     infer: bool = True,
 ) -> DetectionResult:
     if isinstance(predicate, ConjunctivePredicate):
-        return definitely_conjunctive(
-            computation, predicate, use_slice=use_slice
-        )
+        return definitely_conjunctive(computation, predicate)
     if (
         isinstance(predicate, CNFPredicate)
         and predicate.is_conjunctive()
         and predicate.is_singular()
     ):
         return definitely_conjunctive(
-            computation, conjunctive_from_cnf(predicate), use_slice=use_slice
+            computation, conjunctive_from_cnf(predicate)
         )
     if isinstance(predicate, RelationalSumPredicate):
-        return definitely_sum(computation, predicate, use_slice=use_slice)
+        return definitely_sum(computation, predicate)
     if isinstance(predicate, SymmetricPredicate):
-        return definitely_symmetric(
-            computation, predicate, use_slice=use_slice
-        )
-    from repro.slicing.dispatch import definitely_slice_first
+        return definitely_symmetric(computation, predicate)
+    from repro.slicing.dispatch import sliced_definitely_enumerate
 
-    return definitely_slice_first(computation, predicate, use_slice, infer)
+    return sliced_definitely_enumerate(computation, predicate, infer=infer)

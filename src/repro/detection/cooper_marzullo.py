@@ -59,9 +59,8 @@ def possibly_enumerate(
 ) -> DetectionResult:
     """Decide ``possibly(B)`` by exhaustive lattice search (with early exit).
 
-    Walks the lattice level by level and materializes each consistent cut
-    once, via the computation's interner, only to evaluate the predicate
-    on it.
+    Walks the lattice level by level over frontier tuples and builds a
+    ``Cut`` only to evaluate the predicate on it.
 
     With ``bounds`` the search starts at the box's least cut and never
     expands past its greatest cut: every satisfying cut lies in the box,
@@ -75,7 +74,6 @@ def possibly_enumerate(
         sliced=bounds is not None,
     ) as sp:
         index = CausalityIndex.of(computation)
-        interner = index.interner
         walk = LevelWalk(computation, bounds)
         explored = 0
         holds, witness = False, None
@@ -85,7 +83,7 @@ def possibly_enumerate(
         for frontier in chain.from_iterable(walk):
             explored += 1
             trk.step()
-            cut = interner.get(frontier)
+            cut = Cut(computation, frontier)
             if predicate.evaluate(cut):
                 holds, witness = True, cut
                 break
@@ -127,7 +125,6 @@ def definitely_enumerate(
         sliced=bounds is not None,
     ) as sp:
         index = CausalityIndex.of(computation)
-        interner = index.interner
         goal = final_cut(computation).frontier
         least, greatest = bounds if bounds is not None else (None, None)
         explored = pruned = 0
@@ -160,7 +157,7 @@ def definitely_enumerate(
             ):
                 pruned += 1
                 return None
-            cut = interner.get(frontier)
+            cut = Cut(computation, frontier)
             return cut if predicate.evaluate(cut) else None
 
         # Examine both endpoints first: every run contains them.

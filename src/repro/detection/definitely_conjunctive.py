@@ -40,14 +40,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.computation import Computation
 from repro.detection.result import DetectionResult
 from repro.obs import StatCounters, span
 from repro.perf.causality import CausalityIndex
 from repro.predicates.conjunctive import ConjunctivePredicate
-from repro.predicates.local import LocalPredicate
 
 __all__ = ["definitely_conjunctive", "false_intervals"]
 
@@ -125,24 +124,22 @@ class _AnchorFrontiers:
 def definitely_conjunctive(
     computation: Computation,
     predicate: ConjunctivePredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """Decide ``definitely`` of a conjunctive predicate exactly.
 
-    With ``use_slice`` (the default) the slice of the predicate — exact
-    for conjunctive B — is consulted first: an empty slice means no cut
-    satisfies B (every run avoids it, False), a least cut equal to ⊥ or a
-    greatest cut equal to ⊤ means an endpoint of *every* run satisfies B
-    (True).  Each shortcut is a polynomial rounding pass that skips the
-    anchor search entirely, reported via the ``slice_shortcut`` stat.
+    The slice of the predicate — exact for conjunctive B — is consulted
+    first: an empty slice means no cut satisfies B (every run avoids it,
+    False), a least cut equal to ⊥ or a greatest cut equal to ⊤ means an
+    endpoint of *every* run satisfies B (True).  Each shortcut is a
+    polynomial rounding pass that skips the anchor search entirely,
+    reported via the ``slice_shortcut`` stat.
     """
     with span(
         "engine.interval-anchor", conjuncts=len(predicate.conjuncts)
     ) as sp:
-        if use_slice:
-            shortcut = _slice_shortcut(computation, predicate, sp)
-            if shortcut is not None:
-                return shortcut
+        shortcut = _slice_shortcut(computation, predicate, sp)
+        if shortcut is not None:
+            return shortcut
         return _definitely_conjunctive(computation, predicate, sp)
 
 

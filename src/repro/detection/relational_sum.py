@@ -37,7 +37,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.computation import Computation, Cut, initial_cut
-from repro.detection.cooper_marzullo import possibly_enumerate
 from repro.detection.result import DetectionResult
 from repro.flow import max_sum_cut, min_sum_cut
 from repro.obs import StatCounters, span
@@ -150,7 +149,6 @@ def possibly_sum_eq_unit(
 def possibly_sum_eq_exact(
     computation: Computation,
     predicate: RelationalSumPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """Exact ``possibly(sum = k)`` for arbitrary increments.
 
@@ -158,18 +156,16 @@ def possibly_sum_eq_exact(
     sum-set dynamic program over per-process prefix sums — pseudo-polynomial
     in the value range, exponential in the worst case, as Theorem 2
     requires.  Computations with messages fall back to lattice enumeration,
-    bounded by the predicate's slice box unless ``use_slice`` is False.
+    bounded by the predicate's slice box.
     """
     variable, k = predicate.variable, predicate.constant
     if predicate.relop is not Relop.EQ:
         raise UnsupportedPredicateError("exact engine handles '=' only")
     if not computation.messages:
         return _possibly_eq_sumset(computation, variable, k)
-    if use_slice:
-        from repro.slicing.dispatch import sliced_possibly_enumerate
+    from repro.slicing.dispatch import sliced_possibly_enumerate
 
-        return sliced_possibly_enumerate(computation, predicate)
-    return possibly_enumerate(computation, predicate)
+    return sliced_possibly_enumerate(computation, predicate)
 
 
 def _possibly_eq_sumset(
@@ -214,7 +210,6 @@ def _possibly_eq_sumset(
 def possibly_sum(
     computation: Computation,
     predicate: RelationalSumPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """``possibly`` of a relational sum predicate — dispatching facade.
 
@@ -228,7 +223,7 @@ def possibly_sum(
     if relop is Relop.EQ:
         if predicate.unit_step(computation):
             return possibly_sum_eq_unit(computation, predicate)
-        return possibly_sum_eq_exact(computation, predicate, use_slice)
+        return possibly_sum_eq_exact(computation, predicate)
     # relop is NE: some cut differs from k unless min == max == k.
     variable, k = predicate.variable, predicate.constant
     with span("engine.min-cut", relop="!=", variable=variable) as sp:
@@ -257,19 +252,18 @@ def possibly_sum(
 def _definitely_by_avoidance(
     computation: Computation,
     predicate: RelationalSumPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """Exact ``definitely``: is there a run avoiding the predicate?
 
     Exponential in the worst case (it explores the complement sub-lattice);
     exact for every relop.  Runs the slice-first ``definitely`` search of
-    :func:`repro.slicing.dispatch.definitely_slice_first`, the same one
-    :func:`repro.detection.api.detect` uses for opaque predicates.
+    :func:`repro.slicing.dispatch.sliced_definitely_enumerate`, the same
+    one :func:`repro.detection.api.detect` uses for opaque predicates.
     """
-    from repro.slicing.dispatch import definitely_slice_first
+    from repro.slicing.dispatch import sliced_definitely_enumerate
 
     with span("engine.avoidance-search", relop=predicate.relop.value) as sp:
-        inner = definitely_slice_first(computation, predicate, use_slice)
+        inner = sliced_definitely_enumerate(computation, predicate)
         stats = StatCounters("engine.avoidance-search")
         stats.inc("searches")
         for key in ("cuts_explored", "cuts_pruned"):
@@ -286,7 +280,6 @@ def _definitely_by_avoidance(
 def definitely_sum_eq_unit(
     computation: Computation,
     predicate: RelationalSumPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """``definitely(sum = k)`` for ±1 computations (paper, Theorem 7(2)).
 
@@ -299,7 +292,7 @@ def definitely_sum_eq_unit(
     with span("engine.theorem7-unit-step", variable=variable, k=k) as sp:
         le = RelationalSumPredicate(variable, Relop.LE, k)
         ge = RelationalSumPredicate(variable, Relop.GE, k)
-        d_le = _definitely_by_avoidance(computation, le, use_slice)
+        d_le = _definitely_by_avoidance(computation, le)
         if not d_le.holds:
             sp.set(holds=False, failed="definitely(sum <= k)")
             return DetectionResult(
@@ -307,7 +300,7 @@ def definitely_sum_eq_unit(
                 algorithm="theorem7-unit-step",
                 stats={"failed": "definitely(sum <= k)"},
             )
-        d_ge = _definitely_by_avoidance(computation, ge, use_slice)
+        d_ge = _definitely_by_avoidance(computation, ge)
         sp.set(holds=d_ge.holds)
         return DetectionResult(
             holds=d_ge.holds,
@@ -319,12 +312,11 @@ def definitely_sum_eq_unit(
 def definitely_sum(
     computation: Computation,
     predicate: RelationalSumPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """``definitely`` of a relational sum predicate — dispatching facade."""
     if predicate.relop is Relop.EQ and predicate.unit_step(computation):
-        return definitely_sum_eq_unit(computation, predicate, use_slice)
-    return _definitely_by_avoidance(computation, predicate, use_slice)
+        return definitely_sum_eq_unit(computation, predicate)
+    return _definitely_by_avoidance(computation, predicate)
 
 
 def _require_unit(

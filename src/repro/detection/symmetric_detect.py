@@ -68,30 +68,28 @@ def possibly_symmetric(
 def definitely_symmetric(
     computation: Computation,
     predicate: SymmetricPredicate,
-    use_slice: bool = True,
 ) -> DetectionResult:
     """``definitely`` of a symmetric predicate.
 
     Singleton count sets use the Theorem 7(2) decomposition; general count
     sets are decided exactly by searching for a run avoiding the predicate
-    (restricted to the predicate's slice box unless ``use_slice`` is
-    False).
+    (restricted to the predicate's slice box).
     """
     if len(predicate.counts) == 1:
         (count,) = predicate.counts
         inner = RelationalSumPredicate(predicate.variable, Relop.EQ, count)
-        result = definitely_sum_eq_unit(computation, inner, use_slice)
+        result = definitely_sum_eq_unit(computation, inner)
         return DetectionResult(
             holds=result.holds,
             algorithm="symmetric-" + result.algorithm,
             stats=result.stats,
         )
-    from repro.slicing.dispatch import definitely_slice_first
+    from repro.slicing.dispatch import sliced_definitely_enumerate
 
     with span(
         "engine.symmetric-avoidance", counts=sorted(predicate.counts)
     ) as sp:
-        inner = definitely_slice_first(computation, predicate, use_slice)
+        inner = sliced_definitely_enumerate(computation, predicate)
         stats = StatCounters("engine.symmetric-avoidance")
         stats.inc("searches")
         for key in ("cuts_explored", "cuts_pruned"):

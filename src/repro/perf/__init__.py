@@ -1,13 +1,11 @@
 """Performance core for the detection engines (substrate S13).
 
-Three pieces, layered under :mod:`repro.detection`:
+Two pieces, layered under :mod:`repro.detection`:
 
 * :class:`~repro.perf.causality.CausalityIndex` — per-computation
   memoized causality queries (``leq`` fast path and consistency closure
   over the computation's shared clock table, cached per-clause true
   events / chain covers / orderedness verdicts);
-* :class:`~repro.perf.interning.CutInterner` — one canonical ``Cut``
-  per frontier tuple, so lattice walks track plain tuples;
 * :mod:`repro.perf.parallel` — a chunked ``multiprocessing`` driver for
   the Section 3.3 combination sweeps with deterministic first-witness
   semantics and early cancellation.
@@ -23,6 +21,5 @@ in ``docs/OBSERVABILITY.md``.
 """
 
 from repro.perf.causality import CausalityIndex
-from repro.perf.interning import CutInterner
 
-__all__ = ["CausalityIndex", "CutInterner"]
+__all__ = ["CausalityIndex"]

@@ -31,10 +31,10 @@ With numpy present, the batched entry points (:meth:`closure_at_least`,
 the table, with identical results.
 
 Each index is stored on the computation it describes and refers back to
-it only weakly, so dropping the last reference to a computation frees
-the computation and its index by reference counting alone.  The cut
-interner is the exception: its cached cuts refer to the computation, so
-a computation whose lattice was walked is freed by the cyclic collector.
+it only weakly, and it keeps no ``Cut`` (a cut refers to its
+computation), so dropping the last reference to a computation frees the
+computation and its index by reference counting alone — also after a
+lattice walk.
 All cache hit/miss tallies are kept as plain integers (always cheap) and
 mirrored into the metrics registry as ``perf.*`` counters by
 :meth:`maybe_flush_metrics` when observability is enabled.
@@ -78,7 +78,6 @@ class CausalityIndex:
         "_true_all",
         "_covers",
         "_orderedness",
-        "_interner",
         "_matrix",
         "counters",
         "_flushed",
@@ -100,7 +99,6 @@ class CausalityIndex:
         self._true_all: Dict[object, Tuple[EventId, ...]] = {}
         self._covers: Dict[object, ChainCover] = {}
         self._orderedness: Dict[object, bool] = {}
-        self._interner = None
         self._matrix = None
         self.counters: Dict[str, int] = {
             "clause_cache.hits": 0,
@@ -355,18 +353,6 @@ class CausalityIndex:
         return self._matrix
 
     # ------------------------------------------------------------------
-    # Cut interning
-    # ------------------------------------------------------------------
-    @property
-    def interner(self):
-        """The computation's shared :class:`~repro.perf.interning.CutInterner`."""
-        if self._interner is None:
-            from repro.perf.interning import CutInterner
-
-            self._interner = CutInterner(self.computation)
-        return self._interner
-
-    # ------------------------------------------------------------------
     # Metrics
     # ------------------------------------------------------------------
     def maybe_flush_metrics(self) -> None:
@@ -384,15 +370,6 @@ class CausalityIndex:
             if delta:
                 reg.counter(f"perf.{key}").inc(delta)
                 self._flushed[key] = value
-        if self._interner is not None:
-            for key, value in (
-                ("cut_intern.hits", self._interner.hits),
-                ("cut_intern.misses", self._interner.misses),
-            ):
-                delta = value - self._flushed.get(key, 0)
-                if delta:
-                    reg.counter(f"perf.{key}").inc(delta)
-                    self._flushed[key] = value
         if self._matrix is not None:
             for short, value in self._matrix.counters.items():
                 key = f"clockmatrix.{short}"

@@ -3,7 +3,6 @@
 from repro.slicing.dispatch import (
     SliceInfo,
     conjunctive_approximation,
-    definitely_slice_first,
     slice_info,
     sliced_definitely_enumerate,
     sliced_possibly_enumerate,
@@ -14,7 +13,6 @@ __all__ = [
     "ConjunctiveSlice",
     "SliceInfo",
     "conjunctive_approximation",
-    "definitely_slice_first",
     "slice_info",
     "sliced_definitely_enumerate",
     "sliced_possibly_enumerate",

@@ -20,15 +20,12 @@ engines:
   when no useful approximation exists (the dispatcher then falls back to
   the unsliced engine, so slicing never costs correctness).
 * :func:`sliced_possibly_enumerate` / :func:`sliced_definitely_enumerate`
-  — the slice-first defaults for the enumeration paths of
-  :mod:`repro.detection.api` (opt out with ``detect(..., slice=False)``).
-  Both open an ``engine.slice`` span and report the box-volume
-  contraction as the ``perf.slice.reduction`` gauge plus skipped work as
-  the ``perf.slice.cuts_pruned`` counter.
-* :func:`definitely_slice_first` — the one exhaustive ``definitely``
-  path: :func:`sliced_definitely_enumerate`, or the unsliced engine when
-  ``use_slice`` is False.  :func:`repro.detection.api.detect` and the
-  relational-sum and symmetric avoidance searches all go through it.
+  — the enumeration paths of :mod:`repro.detection.api`, and the only
+  exhaustive ``definitely`` search (the relational-sum and symmetric
+  avoidance searches go through it too).  Both open an ``engine.slice``
+  span and report the box-volume contraction as the
+  ``perf.slice.reduction`` gauge plus skipped work as the
+  ``perf.slice.cuts_pruned`` counter.
 
 Detection modules are imported lazily inside functions: slicing sits
 below :mod:`repro.detection` in the layering, and the lazy imports keep
@@ -57,7 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids the cycle
 __all__ = [
     "SliceInfo",
     "conjunctive_approximation",
-    "definitely_slice_first",
     "slice_info",
     "sliced_definitely_enumerate",
     "sliced_possibly_enumerate",
@@ -356,19 +352,52 @@ def _emit_slice_metrics(reduction: float, pruned: int) -> None:
         registry().counter("perf.slice.cuts_pruned").inc(pruned)
 
 
-def _empty_slice_result(info: SliceInfo, sp) -> "DetectionResult":
+def _sliced(
+    engine,
+    modality: str,
+    computation: Computation,
+    predicate: GlobalPredicate,
+    infer: bool,
+) -> "DetectionResult":
+    """Run an enumeration ``engine`` on the predicate's slice box.
+
+    The body of both slice-first engines: the unsliced engine when no
+    useful approximation exists, False without a walk on an empty slice,
+    else the engine on the box, relabelled ``slice:``.
+    """
     from repro.detection.result import DetectionResult
 
-    reduction = info.reduction()
-    stats = StatCounters("engine.slice")
-    stats.inc("cuts_explored", 0)
-    stats.inc("cuts_pruned", 0)
-    stats.set("reduction", reduction)
-    sp.set(empty=True, holds=False, reduction=reduction)
-    _emit_slice_metrics(reduction, 0)
-    return DetectionResult(
-        holds=False, algorithm="slice", stats=stats.as_dict()
-    )
+    info = slice_info(computation, predicate, infer=infer)
+    if not info.useful:
+        return engine(computation, predicate)
+    with span("engine.slice", modality=modality, exact=info.exact) as sp:
+        reduction = info.reduction()
+        if info.empty:
+            stats = StatCounters("engine.slice")
+            stats.inc("cuts_explored", 0)
+            stats.inc("cuts_pruned", 0)
+            stats.set("reduction", reduction)
+            sp.set(empty=True, holds=False, reduction=reduction)
+            _emit_slice_metrics(reduction, 0)
+            return DetectionResult(
+                holds=False, algorithm="slice", stats=stats.as_dict()
+            )
+        inner = engine(computation, predicate, bounds=info.bounds)
+        pruned = int(inner.stats.get("cuts_pruned", 0))
+        stats = dict(inner.stats)
+        stats["reduction"] = reduction
+        sp.set(
+            holds=inner.holds,
+            cuts_explored=stats.get("cuts_explored"),
+            reduction=reduction,
+        )
+        _emit_slice_metrics(reduction, pruned)
+        return DetectionResult(
+            holds=inner.holds,
+            witness=inner.witness,
+            algorithm="slice:" + inner.algorithm,
+            stats=stats,
+        )
 
 
 def sliced_possibly_enumerate(
@@ -378,39 +407,15 @@ def sliced_possibly_enumerate(
 ) -> "DetectionResult":
     """``possibly(B)`` by enumeration restricted to B's slice box.
 
-    Slice-first default for the enumeration fallback of
-    :func:`repro.detection.api.possibly`.  Falls back to the unsliced
-    Cooper–Marzullo engine when no useful approximation exists; an empty
-    slice answers False without touching the lattice.  The witness (when
-    found) is a minimum-size satisfying cut — the same guarantee the
-    unsliced level-order BFS gives.
+    The enumeration fallback of :func:`repro.detection.api.possibly`.
+    The witness (when found) is a minimum-size satisfying cut — the
+    same guarantee the unsliced level-order walk gives.
     """
     from repro.detection.cooper_marzullo import possibly_enumerate
-    from repro.detection.result import DetectionResult
 
-    info = slice_info(computation, predicate, infer=infer)
-    if not info.useful:
-        return possibly_enumerate(computation, predicate)
-    with span("engine.slice", modality="possibly", exact=info.exact) as sp:
-        if info.empty:
-            return _empty_slice_result(info, sp)
-        inner = possibly_enumerate(computation, predicate, bounds=info.bounds)
-        reduction = info.reduction()
-        pruned = int(inner.stats.get("cuts_pruned", 0))
-        stats = dict(inner.stats)
-        stats["reduction"] = reduction
-        sp.set(
-            holds=inner.holds,
-            cuts_explored=stats.get("cuts_explored"),
-            reduction=reduction,
-        )
-        _emit_slice_metrics(reduction, pruned)
-        return DetectionResult(
-            holds=inner.holds,
-            witness=inner.witness,
-            algorithm="slice:" + inner.algorithm,
-            stats=stats,
-        )
+    return _sliced(
+        possibly_enumerate, "possibly", computation, predicate, infer
+    )
 
 
 def sliced_definitely_enumerate(
@@ -420,58 +425,15 @@ def sliced_definitely_enumerate(
 ) -> "DetectionResult":
     """``definitely(B)`` by avoidance search with slice-box pruning.
 
-    Cuts outside the box cannot satisfy B, so the search never evaluates
-    B on them; the moment the search climbs above the box it knows an
-    avoiding run exists (every later cut of any extension stays outside)
-    and answers False immediately.  Falls back unsliced when no useful
-    approximation exists; an empty slice answers False outright (no cut
-    satisfies B, so every run avoids it).
+    The one exhaustive ``definitely`` search, shared by
+    :func:`repro.detection.api.detect` and the relational-sum and
+    symmetric avoidance searches.  Cuts outside the box cannot satisfy
+    B, so the search never evaluates B on them; the moment it climbs
+    above the box an avoiding run exists, so it answers False at once.
+    An empty slice answers False outright (every run avoids B).
     """
     from repro.detection.cooper_marzullo import definitely_enumerate
-    from repro.detection.result import DetectionResult
 
-    info = slice_info(computation, predicate, infer=infer)
-    if not info.useful:
-        return definitely_enumerate(computation, predicate)
-    with span(
-        "engine.slice", modality="definitely", exact=info.exact
-    ) as sp:
-        if info.empty:
-            return _empty_slice_result(info, sp)
-        inner = definitely_enumerate(
-            computation, predicate, bounds=info.bounds
-        )
-        reduction = info.reduction()
-        pruned = int(inner.stats.get("cuts_pruned", 0))
-        stats = dict(inner.stats)
-        stats["reduction"] = reduction
-        sp.set(
-            holds=inner.holds,
-            cuts_explored=stats.get("cuts_explored"),
-            reduction=reduction,
-        )
-        _emit_slice_metrics(reduction, pruned)
-        return DetectionResult(
-            holds=inner.holds,
-            witness=inner.witness,
-            algorithm="slice:" + inner.algorithm,
-            stats=stats,
-        )
-
-
-def definitely_slice_first(
-    computation: Computation,
-    predicate: GlobalPredicate,
-    use_slice: bool = True,
-    infer: bool = True,
-) -> "DetectionResult":
-    """The exhaustive ``definitely(B)`` search, slice-first by default.
-
-    :func:`sliced_definitely_enumerate` unless ``use_slice`` is False, in
-    which case the unsliced Cooper–Marzullo engine runs.
-    """
-    if use_slice:
-        return sliced_definitely_enumerate(computation, predicate, infer=infer)
-    from repro.detection.cooper_marzullo import definitely_enumerate
-
-    return definitely_enumerate(computation, predicate)
+    return _sliced(
+        definitely_enumerate, "definitely", computation, predicate, infer
+    )

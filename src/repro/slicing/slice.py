@@ -25,11 +25,10 @@ The hot paths lean on :class:`~repro.perf.causality.CausalityIndex`: the
 rounding closures read the computation's clock table (rounding up through
 the index's shared consistency closure), enumeration tracks plain
 frontier tuples in its visited set (no per-cut ``Cut`` retention), and
-yielded cuts come out of the computation's shared
-:class:`~repro.perf.interning.CutInterner`.  Rounding steps locate true
-events with :func:`bisect.bisect_left` over the ascending per-process
-index lists, so each closure pass is O(log t) per process rather than a
-linear scan.
+builds a ``Cut`` only for each member it yields.  Rounding steps locate
+true events with :func:`bisect.bisect_left` over the ascending
+per-process index lists, so each closure pass is O(log t) per process
+rather than a linear scan.
 
 Every operation is cross-checked against brute-force lattice filtering in
 the tests.
@@ -97,10 +96,11 @@ class ConjunctiveSlice:
         Both closures only ever move frontiers up, and every satisfying
         cut above the input is above every intermediate cut, so the
         fixpoint is the least satisfying cut above the input's consistency
-        closure.  This widened contract is what :meth:`_slice_successors`
-        relies on: bumping a single process past a frontier may break
-        consistency (the bumped event can be a receive whose send is not
-        in the cut), and the closure-first guarantee makes that safe.
+        closure.  This widened contract is what
+        :meth:`_slice_successor_frontiers` relies on: bumping a single
+        process past a frontier may break consistency (the bumped event
+        can be a receive whose send is not in the cut), and the
+        closure-first guarantee makes that safe.
 
         Returns None when no satisfying cut lies above.
         """
@@ -110,11 +110,11 @@ class ConjunctiveSlice:
         return self._checked_cut(frontier)
 
     def _checked_cut(self, frontier: Frontier) -> Cut:
-        """The interned cut of a rounding fixpoint, checked explicitly.
+        """The cut of a rounding fixpoint, checked explicitly.
 
         Raises rather than asserts, so the check survives ``python -O``.
         """
-        result = self._index.interner.get(frontier)
+        result = Cut(self._comp, frontier)
         if not result.is_consistent():
             raise AssertionError("rounding fixpoint must be consistent")
         if not self._pred.evaluate(result):  # pragma: no cover - invariant
@@ -157,7 +157,7 @@ class ConjunctiveSlice:
         self._compute_bounds()
         if self._least_fr is None:
             return None
-        return self._index.interner.get(self._least_fr)
+        return Cut(self._comp, self._least_fr)
 
     @property
     def greatest(self) -> Optional[Cut]:
@@ -165,7 +165,7 @@ class ConjunctiveSlice:
         self._compute_bounds()
         if self._greatest_fr is None:
             return None
-        return self._index.interner.get(self._greatest_fr)
+        return Cut(self._comp, self._greatest_fr)
 
     def bounds_frontiers(self) -> Optional[Tuple[Frontier, Frontier]]:
         """``(least, greatest)`` as raw frontier tuples, or None when empty.
@@ -252,14 +252,12 @@ class ConjunctiveSlice:
     def __iter__(self) -> Iterator[Cut]:
         """All satisfying cuts, in non-decreasing ``(size, frontier)`` order.
 
-        Yields interned cuts; the visited set holds plain frontier tuples
-        (shared with the computation's interner keys), never ``Cut``
+        The visited set holds plain frontier tuples, never ``Cut``
         objects, so a large slice costs one tuple per member — not a
         retained ``Cut`` graph.
         """
-        interner = self._index.interner
         for frontier in self._iter_frontiers():
-            yield interner.get(frontier)
+            yield Cut(self._comp, frontier)
 
     def _iter_frontiers(self) -> Iterator[Frontier]:
         """Tuple-level enumeration backing :meth:`__iter__` and :meth:`count`.
@@ -285,23 +283,18 @@ class ConjunctiveSlice:
                     seen.add(nxt)
                     heappush(heap, (sum(nxt), nxt))
 
-    def _slice_successors(self, cut: Cut) -> Iterator[Cut]:
-        """Satisfying cuts reached by one minimal advance inside the slice.
+    def _slice_successor_frontiers(
+        self, frontier: Frontier
+    ) -> Iterator[Frontier]:
+        """Satisfying frontiers reached by one minimal advance in the slice.
 
         For each process p, advance p past its current frontier and round
-        up; the results generate the sublattice above ``cut`` (every
+        up; the results generate the sublattice above ``frontier`` (every
         satisfying D > C dominates C advanced on some process, and
         rounding that advance yields a satisfying cut <= D).  The bumped
         frontier may be inconsistent — :meth:`round_up`'s
         consistency-closure-first contract covers exactly this call.
         """
-        interner = self._index.interner
-        for frontier in self._slice_successor_frontiers(cut.frontier):
-            yield interner.get(frontier)
-
-    def _slice_successor_frontiers(
-        self, frontier: Frontier
-    ) -> Iterator[Frontier]:
         lengths = self._index._lengths
         for p in range(self._index.num_processes):
             if frontier[p] >= lengths[p]:

@@ -117,7 +117,11 @@ class OracleRegistry:
         return spec
 
     def register_engine(self, class_name: str, engine: EngineSpec) -> None:
-        """Enroll an engine in a class; replaces any same-name engine."""
+        """Enroll an engine in a class.
+
+        Replaces any engine of the same name and modality; one name may
+        serve both modalities (``classify-opaque`` does).
+        """
         spec = self._by_name[class_name]
         if engine.is_oracle:
             for other in spec.engines_for(engine.modality):
@@ -126,9 +130,10 @@ class OracleRegistry:
                         f"class {class_name!r} already has oracle "
                         f"{other.name!r} for {engine.modality.value}"
                     )
-        spec.engines = [e for e in spec.engines if e.name != engine.name] + [
-            engine
-        ]
+        key = (engine.name, engine.modality)
+        spec.engines = [
+            e for e in spec.engines if (e.name, e.modality) != key
+        ] + [engine]
 
     # -- lookup ---------------------------------------------------------
     @property
@@ -228,6 +233,12 @@ def _opaquifiable(
     return True
 
 
+def _check(condition: bool, message: str) -> None:
+    """A cross-check that, unlike ``assert``, survives ``python -O``."""
+    if not condition:
+        raise AssertionError(message)
+
+
 # ----------------------------------------------------------------------
 # The default registry: every engine the library ships
 # ----------------------------------------------------------------------
@@ -299,13 +310,6 @@ def _build_default() -> OracleRegistry:
     def run_anchors(comp: Computation, pred: GlobalPredicate) -> bool:
         return definitely_conjunctive(comp, as_conjunctive(pred)).holds
 
-    def run_anchors_noslice(
-        comp: Computation, pred: GlobalPredicate
-    ) -> bool:
-        return definitely_conjunctive(
-            comp, as_conjunctive(pred), use_slice=False
-        ).holds
-
     def run_sliced_possibly(
         comp: Computation, pred: GlobalPredicate
     ) -> bool:
@@ -317,18 +321,23 @@ def _build_default() -> OracleRegistry:
 
         sliced = sliced_possibly_enumerate(comp, pred)
         unsliced = plain(comp, pred)
-        assert sliced.holds == unsliced.holds, (
+        _check(
+            sliced.holds == unsliced.holds,
             f"verdict mismatch: sliced={sliced.holds} "
-            f"unsliced={unsliced.holds}"
+            f"unsliced={unsliced.holds}",
         )
         if sliced.holds:
-            assert sliced.witness is not None
-            assert sliced.witness.is_consistent()
-            assert pred.evaluate(sliced.witness), "invalid sliced witness"
-            assert unsliced.witness is not None
-            assert sliced.witness.size() == unsliced.witness.size(), (
-                f"witness size mismatch: sliced={sliced.witness.size()} "
-                f"unsliced={unsliced.witness.size()}"
+            witness = sliced.witness
+            _check(
+                witness is not None
+                and witness.is_consistent()
+                and pred.evaluate(witness),
+                "invalid sliced witness",
+            )
+            _check(
+                witness.size() == unsliced.witness.size(),
+                f"witness size mismatch: sliced={witness.size()} "
+                f"unsliced={unsliced.witness.size()}",
             )
         return sliced.holds
 
@@ -339,9 +348,10 @@ def _build_default() -> OracleRegistry:
 
         sliced = sliced_definitely_enumerate(comp, pred)
         unsliced = plain(comp, pred)
-        assert sliced.holds == unsliced.holds, (
+        _check(
+            sliced.holds == unsliced.holds,
             f"verdict mismatch: sliced={sliced.holds} "
-            f"unsliced={unsliced.holds}"
+            f"unsliced={unsliced.holds}",
         )
         return sliced.holds
 
@@ -368,8 +378,9 @@ def _build_default() -> OracleRegistry:
         while wave:
             per_item = [index.successor_frontiers(f) for f in wave]
             if matrix is not None:
-                assert matrix.successor_frontiers_batch(wave) == per_item, (
-                    f"successor batch diverges on the wave from {wave[0]}"
+                _check(
+                    matrix.successor_frontiers_batch(wave) == per_item,
+                    f"successor batch diverges on the wave from {wave[0]}",
                 )
             nxt_wave = []
             for frontier, successors in zip(wave, per_item):
@@ -380,17 +391,21 @@ def _build_default() -> OracleRegistry:
                     raised[p] += 1
                     bumped = tuple(raised)
                     closure = tuple(index.consistency_closure(raised))
-                    assert Cut(comp, closure).is_consistent(), (
-                        f"closure of {bumped} is inconsistent"
+                    _check(
+                        Cut(comp, closure).is_consistent(),
+                        f"closure of {bumped} is inconsistent",
                     )
                     if bumped in successors:
-                        assert closure == bumped, (
-                            f"closure moved consistent {bumped}"
+                        _check(
+                            closure == bumped,
+                            f"closure moved consistent {bumped}",
                         )
                     if matrix is not None:
-                        assert matrix.closure_at_least(
-                            frontier, p, bumped[p]
-                        ) == closure, f"closure diverges at {bumped}"
+                        _check(
+                            matrix.closure_at_least(frontier, p, bumped[p])
+                            == closure,
+                            f"closure diverges at {bumped}",
+                        )
                 for nxt in successors:
                     if nxt not in seen:
                         seen.add(nxt)
@@ -460,7 +475,6 @@ def _build_default() -> OracleRegistry:
             max_events=ORACLE_MAX_EVENTS,
         ),
         EngineSpec("anchors", D, run_anchors),
-        EngineSpec("anchors-noslice", D, run_anchors_noslice),
         EngineSpec(
             "lattice",
             D,
@@ -658,11 +672,6 @@ def _build_default() -> OracleRegistry:
             "sum-definitely", D, lambda c, p: definitely_sum(c, p).holds
         ),
         EngineSpec(
-            "sum-definitely-noslice",
-            D,
-            lambda c, p: definitely_sum(c, p, use_slice=False).holds,
-        ),
-        EngineSpec(
             "lattice",
             D,
             lambda c, p: definitely_enumerate(c, p).holds,
@@ -711,13 +720,6 @@ def _build_default() -> OracleRegistry:
             lambda c, p: definitely_symmetric(c, p).holds,
         ),
         EngineSpec(
-            "count-definitely-noslice",
-            D,
-            lambda c, p: definitely_symmetric(
-                c, p, use_slice=False
-            ).holds,
-        ),
-        EngineSpec(
             "lattice",
             D,
             lambda c, p: definitely_enumerate(c, p).holds,
@@ -744,7 +746,7 @@ def _build_default() -> OracleRegistry:
         """Opaque-wrapped variant of every structured family: render the
         predicate as Python source, wrap it in a ``FunctionPredicate``,
         and let ``detect(..., infer=True)`` recover the class statically.
-        Asserts the classifier actually engaged (``classify:`` algorithm
+        Checks the classifier actually engaged (``classify:`` algorithm
         prefix), verdict parity against the directly dispatched engine,
         and witness validity.  A broken parity raises, which the fuzzer
         records as a crash finding."""
@@ -755,19 +757,22 @@ def _build_default() -> OracleRegistry:
 
             opaque = opaquify(pred)
             inferred = detect(comp, opaque, modality)
-            assert inferred.algorithm.startswith("classify:"), (
+            _check(
+                inferred.algorithm.startswith("classify:"),
                 f"classifier fell back to {inferred.algorithm!r} on "
-                f"{pred.description()}"
+                f"{pred.description()}",
             )
             direct = detect(comp, pred, modality, infer=False)
-            assert inferred.holds == direct.holds, (
+            _check(
+                inferred.holds == direct.holds,
                 f"verdict mismatch: classified={inferred.holds} "
-                f"direct={direct.holds}"
+                f"direct={direct.holds}",
             )
-            if inferred.holds and inferred.witness is not None:
-                assert inferred.witness.is_consistent()
-                assert pred.evaluate(inferred.witness), (
-                    "classified witness fails the original predicate"
+            witness = inferred.witness
+            if inferred.holds and witness is not None:
+                _check(
+                    witness.is_consistent() and pred.evaluate(witness),
+                    "classified witness fails the original predicate",
                 )
             return inferred.holds
 

@@ -140,11 +140,12 @@ class TestCountersMatchStats:
         assert snapshot["counters"][
             "engine.interval-anchor.slice_shortcut"
         ] == result.stats["slice_shortcut"] == 1
-        # Forcing the anchor search keeps its stat mirror intact.
+        # With x@0 false the slice spans (1,1,1,2)..(1,2,2,2): neither
+        # ⊥ nor ⊤, so the anchor search runs and mirrors its stats.
+        predicate = parse_predicate("!x@0 & x@3", num_processes=4)
         with obs.Capture() as cap:
-            result = detect(
-                figure2, predicate, Modality.DEFINITELY, slice=False
-            )
+            result = detect(figure2, predicate, Modality.DEFINITELY)
+        assert "slice_shortcut" not in result.stats
         snapshot = cap.registry.snapshot()
         assert snapshot["counters"]["engine.interval-anchor.states"] == \
             result.stats["states"]

@@ -160,12 +160,13 @@ class TestCliProgress:
              "--walk", "x", "--seed", "5", "-o", path]
         ) == 0
         capsys.readouterr()
-        # --no-slice keeps the full-lattice enumeration alive: the slice
-        # proves sum(x) >= 99 unreachable instantly, and this test needs
-        # a long loop to observe heartbeats from.
+        # The negation has no conjunctive approximation, so the whole
+        # lattice is walked: the slice would prove sum(x) >= 99
+        # unreachable instantly, and this test needs a long loop to
+        # observe heartbeats from.
         code = main(
-            ["detect", path, "sum(x) >= 99", "--modality", "definitely",
-             "--progress", "--no-slice"]
+            ["detect", path, "!(sum(x) < 99)", "--modality", "definitely",
+             "--progress"]
         )
         captured = capsys.readouterr()
         assert code == 1
@@ -198,8 +199,8 @@ class TestCliProgress:
     ):
         monkeypatch.setenv("REPRO_PROGRESS_INTERVAL_MS", "0")
         code = main(
-            ["detect", big_trace, "sum(x) >= 99", "--modality", "definitely",
-             "--progress", "--deadline-ms", "1", "--no-slice"]
+            ["detect", big_trace, "!(sum(x) < 99)", "--modality",
+             "definitely", "--progress", "--deadline-ms", "1"]
         )
         captured = capsys.readouterr()
         assert code == 7
@@ -232,8 +233,8 @@ class TestCliProgress:
 
         path = str(tmp_path / "runs.jsonl")
         code = main(
-            ["--runs-ledger", path, "detect", big_trace, "sum(x) >= 99",
-             "--modality", "definitely", "--deadline-ms", "1", "--no-slice"]
+            ["--runs-ledger", path, "detect", big_trace, "!(sum(x) < 99)",
+             "--modality", "definitely", "--deadline-ms", "1"]
         )
         capsys.readouterr()
         assert code == 7

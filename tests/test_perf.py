@@ -1,6 +1,6 @@
 """Tests for the ``repro.perf`` detection-core layer.
 
-The index and interner must be *transparent*: every fast path answers
+The index must be *transparent*: every fast path answers
 exactly what the corresponding ``Computation``/``Cut`` method answers,
 on arbitrary seeded traces.  The parallel driver must preserve the
 serial sweep's verdict, witness, and scan counts.
@@ -15,18 +15,27 @@ import weakref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.computation import Cut, initial_cut, iter_consistent_cuts
-from repro.detection import detect_conjunctive, detect_singular
+from repro.computation import count_consistent_cuts, iter_consistent_cuts
+from repro.detection import (
+    detect_conjunctive,
+    detect_singular,
+    possibly_enumerate,
+)
 from repro.obs import Capture
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
-from repro.perf.interning import CutInterner
 from repro.perf.parallel import (
     combination_at,
     resolve_workers,
     run_combination_search,
 )
-from repro.predicates import clause, conjunctive, local, singular_cnf
+from repro.predicates import (
+    ConstantPredicate,
+    clause,
+    conjunctive,
+    local,
+    singular_cnf,
+)
 from repro.trace import (
     BoolVar,
     dump_computation,
@@ -147,22 +156,26 @@ class TestCausalityIndex:
         assert CausalityIndex.of(copy)._clk == CausalityIndex.of(figure2)._clk
 
 
-class TestCutInterner:
-    def test_returns_canonical_cut(self, figure2):
-        interner = CutInterner(figure2)
-        frontier = initial_cut(figure2).frontier
-        first = interner.get(frontier)
-        assert isinstance(first, Cut)
-        assert interner.get(frontier) is first
-        assert interner.hits == 1
-        assert interner.misses == 1
-        assert len(interner) == 1
-
-    def test_intern_existing_cut(self, figure2):
-        interner = CutInterner(figure2)
-        cut = initial_cut(figure2)
-        assert interner.intern(cut) is cut
-        assert interner.get(cut.frontier) is cut
+class TestLatticeWalkRetention:
+    def test_walked_computation_freed_without_gc(self):
+        """A full lattice walk leaves no cut behind that keeps the
+        computation alive: reference counting alone frees it."""
+        comp = random_computation(
+            3, 4, 0.3, seed=5, variables=[BoolVar("x", density=0.5)]
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            result = possibly_enumerate(comp, ConstantPredicate(False))
+            assert not result.holds
+            assert result.stats["cuts_explored"] == count_consistent_cuts(
+                comp
+            )
+            ref = weakref.ref(comp)
+            del comp
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestParallelHelpers:

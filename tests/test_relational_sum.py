@@ -11,6 +11,7 @@ from repro.computation import ComputationBuilder
 from repro.detection import (
     definitely_sum,
     definitely_sum_eq_unit,
+    possibly_enumerate,
     possibly_sum,
     possibly_sum_eq_exact,
     possibly_sum_eq_unit,
@@ -158,9 +159,7 @@ class TestExactEngine:
         result = possibly_sum_eq_exact(two_chain, sum_predicate("v", "==", 2))
         # Slice-first by default; the inner engine is still the enumerator.
         assert result.algorithm in ("cooper-marzullo", "slice:cooper-marzullo")
-        unsliced = possibly_sum_eq_exact(
-            two_chain, sum_predicate("v", "==", 2), use_slice=False
-        )
+        unsliced = possibly_enumerate(two_chain, sum_predicate("v", "==", 2))
         assert unsliced.algorithm == "cooper-marzullo"
         assert unsliced.holds == result.holds
 
@@ -202,13 +201,10 @@ class TestDispatch:
         unit_comp,
         st.sampled_from(["<", "<=", ">", ">="]),
         st.integers(-3, 3),
-        st.booleans(),
     )
-    def test_definitely_inequality_matches_oracle(
-        self, comp, relop, k, use_slice
-    ):
+    def test_definitely_inequality_matches_oracle(self, comp, relop, k):
         pred = sum_predicate("v", relop, k)
-        got = definitely_sum(comp, pred, use_slice=use_slice)
+        got = definitely_sum(comp, pred)
         assert got.holds == brute_definitely(comp, pred.evaluate)
         assert got.algorithm == "avoidance-search"
         assert got.stats["searches"] == 1

@@ -61,8 +61,9 @@ def dominates(lo, hi) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The widened rounding contract (regression: _slice_successors used to
-# hand round_up a frontier bumped past a receive whose send was absent)
+# The widened rounding contract (regression: slice successor generation
+# used to hand round_up a frontier bumped past a receive whose send was
+# absent)
 # ----------------------------------------------------------------------
 class TestRoundingContract:
     def test_round_up_from_consistency_breaking_bump(self, figure2):
@@ -320,13 +321,16 @@ class TestSlicedEngines:
         result = sliced_possibly_enumerate(figure2, pred)
         assert result.algorithm == "cooper-marzullo"
 
-    def test_detect_slice_opt_out(self, figure2):
+    def test_detect_matches_unsliced_engines(self, figure2):
         pred = nonsingular_cnf(4)
-        for modality in (Modality.POSSIBLY, Modality.DEFINITELY):
+        for modality, unsliced_engine in (
+            (Modality.POSSIBLY, possibly_enumerate),
+            (Modality.DEFINITELY, definitely_enumerate),
+        ):
             default = detect(figure2, pred, modality)
-            opted_out = detect(figure2, pred, modality, slice=False)
-            assert default.holds == opted_out.holds
-            assert not opted_out.algorithm.startswith("slice")
+            unsliced = unsliced_engine(figure2, pred)
+            assert default.holds == unsliced.holds
+            assert not unsliced.algorithm.startswith("slice")
 
     def test_perf_metrics_emitted(self):
         from repro import obs

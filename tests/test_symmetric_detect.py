@@ -98,8 +98,7 @@ class TestDefinitely:
             st.sets(st.integers(0, n), min_size=1, max_size=n + 1)
         )
         pred = SymmetricPredicate("x", n, counts)
-        use_slice = data.draw(st.booleans())
-        got = definitely_symmetric(comp, pred, use_slice=use_slice)
+        got = definitely_symmetric(comp, pred)
         assert got.holds == brute_definitely(comp, pred.evaluate)
 
     @settings(max_examples=25, deadline=None)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.computation import initial_cut
+from repro.detection import DetectionResult
 from repro.predicates import (
     CNFPredicate,
     Clause,
@@ -172,3 +174,50 @@ class TestAdapters:
         assert (brute_possibly(comp, CONJ.evaluate) is None) == (
             brute_possibly(comp, cnf.evaluate) is None
         )
+
+
+class TestRefereeChecks:
+    """The registry's cross-checks raise explicitly instead of asserting,
+    so they survive ``python -O`` (CI runs this file under -O)."""
+
+    @staticmethod
+    def engine(class_name: str, name: str, modality: Modality) -> EngineSpec:
+        (spec,) = [
+            e
+            for e in default_registry().get_class(class_name).engines
+            if e.name == name and e.modality is modality
+        ]
+        return spec
+
+    def test_bad_witness_raises(self, figure2, monkeypatch):
+        import repro.detection
+        from repro.detection import cooper_marzullo
+
+        pred = conjunctive(local(0, "x"), local(3, "x"))
+        bad = initial_cut(figure2)  # consistent, but x is false there
+        assert not pred.evaluate(bad)
+
+        slice_enum = self.engine("conjunctive", "slice-enum", P)
+        monkeypatch.setattr(
+            cooper_marzullo,
+            "possibly_enumerate",
+            lambda *args, **kwargs: DetectionResult(
+                holds=True, witness=bad, algorithm="cooper-marzullo"
+            ),
+        )
+        with pytest.raises(AssertionError, match="invalid sliced witness"):
+            slice_enum.run(figure2, pred)
+        monkeypatch.undo()
+
+        classify = self.engine("conjunctive", "classify-opaque", P)
+        monkeypatch.setattr(
+            repro.detection,
+            "detect",
+            lambda *args, **kwargs: DetectionResult(
+                holds=True, witness=bad, algorithm="classify:planted"
+            ),
+        )
+        with pytest.raises(
+            AssertionError, match="witness fails the original predicate"
+        ):
+            classify.run(figure2, pred)
