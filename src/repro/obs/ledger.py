@@ -28,8 +28,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import registry
 from repro.obs.spans import Capture
@@ -169,6 +170,51 @@ def _append_line(path: str, line: str) -> None:
         )
 
 
+#: Line breaks as a text-mode read splits them (universal newlines).
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+
+#: Per path: ``(st_dev, st_ino, offset, count)`` — ``count`` non-blank
+#: lines end at byte ``offset`` (just past a newline) of that file.
+_COUNTED: Dict[str, Tuple[int, int, int, int]] = {}
+
+
+def _nonblank_lines(data: bytes) -> int:
+    return sum(
+        1 for line in _LINE_BREAK.split(data.decode("utf-8")) if line.strip()
+    )
+
+
+def _count_records(path: str) -> int:
+    """Non-blank lines of the ledger, reading only what was appended
+    since this process last counted it.
+
+    The count of complete lines is cached per path and reused while the
+    file is the same inode, has not shrunk, and still has a newline just
+    before the cached offset; otherwise counting starts over.  A torn
+    last line (no newline yet) is counted but not cached, since another
+    writer may still complete it.
+    """
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return 0
+    with handle:
+        st = os.fstat(handle.fileno())
+        dev, ino, offset, count = _COUNTED.get(path, (0, 0, 0, 0))
+        if (dev, ino) != (st.st_dev, st.st_ino) or offset > st.st_size:
+            offset = count = 0
+        if offset:
+            handle.seek(offset - 1)
+            if handle.read(1) != b"\n":
+                handle.seek(0)
+                offset = count = 0
+        data = handle.read()
+    end = data.rfind(b"\n") + 1
+    count += _nonblank_lines(data[:end])
+    _COUNTED[path] = (st.st_dev, st.st_ino, offset + end, count)
+    return count + _nonblank_lines(data[end:])
+
+
 def append_record(path: str, record: Dict[str, Any]) -> Dict[str, Any]:
     """Assign schema + id, append one JSON line, return the full record.
 
@@ -182,10 +228,7 @@ def append_record(path: str, record: Dict[str, Any]) -> Dict[str, Any]:
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    seq = 0
-    if os.path.exists(path):
-        with open(path, "r", encoding="utf-8") as handle:
-            seq = sum(1 for line in handle if line.strip())
+    seq = _count_records(path)
     full = dict(record)
     full["schema"] = RUN_SCHEMA
     full["id"] = f"{seq + 1:06d}-{full['args_fingerprint'][:8]}"

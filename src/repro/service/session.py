@@ -132,6 +132,8 @@ class Session:
         #: control entry was applied; close/drain wait on it.
         self.settled = threading.Condition(self.lock)
         self.queue = BoundedQueue(config.queue_capacity)
+        #: Worker slot hosting the session (set by the supervisor).
+        self.slot = 0
         #: Worker incarnation allowed to apply entries.
         self.epoch = 0
         #: Entries journaled since the last checkpoint, in apply order.
@@ -152,6 +154,8 @@ class Session:
         self.finish_requested = False
         self.finished = False
         self.closed = False
+        #: The report at close, as JSON text; every later report is it.
+        self.final_report: Optional[str] = None
         self.counts: Dict[str, int] = {
             "ingested": 0,
             "applied": 0,
@@ -331,9 +335,15 @@ class Session:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
+    def freeze_report(self) -> None:
+        """Make the current report final (hold lock; at close)."""
+        self.final_report = json.dumps(self.report())
+
     def report(self) -> Dict[str, Any]:
         """JSON-safe snapshot of the session's verdicts and health."""
         with self.lock:
+            if self.final_report is not None:
+                return json.loads(self.final_report)
             group = self.group
             verdicts: Dict[str, str] = {}
             detected: Dict[str, bool] = {}

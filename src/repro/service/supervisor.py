@@ -13,6 +13,9 @@
   session; co-tenants of the same worker never notice.
 * **Graceful drain**: stop intake, settle queues, finish every open
   session, flush final verdicts + checkpoints + ledger records.
+* **Eviction at close**: a closed session's queue, journal, checkpoint
+  and monitors are released; only its final report is kept, as JSON
+  text, in a bounded map of the most recent closes.
 
 Metrics are ``monitor.service.*`` (docs/OBSERVABILITY.md); one
 ``repro-run-v1`` ledger record (``command: "session"``) is appended per
@@ -21,9 +24,11 @@ session lifecycle when a ledger path is configured.
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 import time
+from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import STATE, registry
@@ -42,6 +47,10 @@ __all__ = ["MonitorService"]
 #: Hard cap on restarts per slot — a crash-looping restore must not spin
 #: forever (far above anything a healthy deployment reaches).
 _MAX_RESTARTS_PER_SLOT = 1000
+
+#: Final reports kept after close (~4 KB of JSON each).  Past the cap
+#: the oldest closed id answers ``unknown-session`` and may be reopened.
+_CLOSED_REPORTS_CAP = 1024
 
 
 class _Slot:
@@ -94,7 +103,10 @@ class MonitorService:
         self._ledger_path = ledger_path
         self._draining = False
         self._stopped = False
+        #: Hosted sessions: open, or closing but not yet evicted.
         self._sessions: Dict[str, Session] = {}
+        #: Final report JSON of evicted sessions, oldest close first.
+        self._closed_reports: "OrderedDict[str, str]" = OrderedDict()
         self._slots = [_Slot(i) for i in range(workers)]
         self._next_slot = 0
         self.counts: Dict[str, int] = {
@@ -227,12 +239,16 @@ class MonitorService:
         with self._lock:
             if self._draining:
                 raise ServiceDraining("open_session")
-            if session_id in self._sessions:
+            if (
+                session_id in self._sessions
+                or session_id in self._closed_reports
+            ):
                 raise ServiceError(f"session {session_id!r} already open")
             session = Session(config)
             slot = self._slots[self._next_slot % len(self._slots)]
             self._next_slot += 1
             session.epoch = slot.epoch
+            session.slot = slot.index
             slot.sessions[session_id] = session
             self._sessions[session_id] = session
             worker = slot.worker
@@ -253,12 +269,25 @@ class MonitorService:
             "queries": [list(name_procs) for name_procs in config.queries],
         }
 
-    def _get_session(self, session_id: str) -> Session:
+    def _get_session(self, session_id: str) -> Optional[Session]:
+        """The hosted session, or None when it was closed and evicted.
+
+        Raises:
+            UnknownSession: never opened, or its report fell off the cap.
+        """
         with self._lock:
             session = self._sessions.get(session_id)
-        if session is None:
-            raise UnknownSession(session_id)
+            if session is None and session_id not in self._closed_reports:
+                raise UnknownSession(session_id)
         return session
+
+    def _closed_report(self, session_id: str) -> Dict[str, Any]:
+        """The final report of an evicted session."""
+        with self._lock:
+            text = self._closed_reports.get(session_id)
+        if text is None:
+            raise UnknownSession(session_id)
+        return json.loads(text)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -282,14 +311,13 @@ class MonitorService:
             if self._draining:
                 raise ServiceDraining("submit")
         session = self._get_session(session_id)
+        if session is None:
+            raise _finished(session_id)
         accepted = shed = dead = 0
         for obs in observations:
             with session.lock:
                 if session.closed or session.finish_requested:
-                    raise ServiceError(
-                        f"session {session_id!r} is finished; "
-                        "no further observations"
-                    )
+                    raise _finished(session_id)
                 reason = session.validate_observation(obs)
                 if reason is not None:
                     session.dead_letters.append(
@@ -383,15 +411,15 @@ class MonitorService:
     def finish_session(self, session_id: str) -> None:
         """Declare end-of-stream: verdicts finalize once queues settle."""
         session = self._get_session(session_id)
-        with session.lock:
-            if session.finish_requested:
-                return
-            session.finish_requested = True
-            session.queue.put_control({"kind": "finish"})
+        if session is not None:
+            _request_finish(session)
 
     def session_report(self, session_id: str) -> Dict[str, Any]:
-        """Non-blocking snapshot of one session."""
-        return self._get_session(session_id).report()
+        """Non-blocking snapshot of one session (final once closed)."""
+        session = self._get_session(session_id)
+        if session is None:
+            return self._closed_report(session_id)
+        return session.report()
 
     def _wait_settled(self, session: Session, timeout_s: float) -> None:
         """Block until the queue is empty and any finish was applied."""
@@ -415,12 +443,20 @@ class MonitorService:
     def close_session(
         self, session_id: str, timeout_s: float = 30.0
     ) -> Dict[str, Any]:
-        """Finish, settle, checkpoint, record, and report one session."""
+        """Finish, settle, checkpoint, record, evict, and report one
+        session; repeated closes return the same final report."""
         session = self._get_session(session_id)
-        self.finish_session(session_id)
+        if session is None:
+            return self._closed_report(session_id)
+        return self._close(session, timeout_s)
+
+    def _close(self, session: Session, timeout_s: float) -> Dict[str, Any]:
+        session_id = session.config.session_id
+        _request_finish(session)
         self._wait_settled(session, timeout_s)
         with session.lock:
-            if not session.closed:
+            first_close = not session.closed
+            if first_close:
                 session.closed = True
                 session.closed_wall_ms = (
                     time.perf_counter() - session.opened_at
@@ -428,34 +464,43 @@ class MonitorService:
                 if session.group is not None:
                     doc = session.take_checkpoint()
                     self._persist_checkpoint(session, doc)
-                first_close = True
-            else:
-                first_close = False
-        if first_close:
-            with self._lock:
-                self.counts["sessions_closed"] += 1
-            if STATE.enabled:
-                registry().counter("monitor.service.sessions_closed").inc()
-                if session.ttd_ms is not None:
-                    registry().histogram(
-                        "monitor.service.time_to_detection.ms"
-                    ).record(session.ttd_ms)
-                registry().gauge("monitor.service.queue_high_water").set(
-                    session.queue.high_water
-                )
-            self._record_session_lifecycle(session)
-        return session.report()
+                session.freeze_report()
+            report = session.report()
+        if not first_close:
+            return report
+        with self._lock:
+            self.counts["sessions_closed"] += 1
+        if STATE.enabled:
+            registry().counter("monitor.service.sessions_closed").inc()
+            if session.ttd_ms is not None:
+                registry().histogram(
+                    "monitor.service.time_to_detection.ms"
+                ).record(session.ttd_ms)
+            registry().gauge("monitor.service.queue_high_water").set(
+                session.queue.high_water
+            )
+        self._record_session_lifecycle(session, report)
+        # Evict: the queue, journal, checkpoint and monitors go with the
+        # last reference; the report text answers every later request.
+        with self._lock:
+            del self._sessions[session_id]
+            del self._slots[session.slot].sessions[session_id]
+            self._closed_reports[session_id] = session.final_report
+            while len(self._closed_reports) > _CLOSED_REPORTS_CAP:
+                self._closed_reports.popitem(last=False)
+        return report
 
     # ------------------------------------------------------------------
     # Ledger
     # ------------------------------------------------------------------
-    def _record_session_lifecycle(self, session: Session) -> None:
+    def _record_session_lifecycle(
+        self, session: Session, report: Dict[str, Any]
+    ) -> None:
         """Append one ``command: "session"`` run-ledger record."""
         if self._ledger_path is None:
             return
         from repro.obs import ledger
 
-        report = session.report()
         verdicts = report["verdicts"]
         detected = sum(1 for v in report["detected"].values() if v)
         stats: Dict[str, Any] = dict(report["counts"])
@@ -522,6 +567,7 @@ class MonitorService:
                 "draining": self._draining,
                 "sessions": len(self._sessions),
                 "open_sessions": open_sessions,
+                "closed_reports": len(self._closed_reports),
                 "counts": dict(self.counts),
                 "slots": slots,
             }
@@ -540,17 +586,16 @@ class MonitorService:
             if self._draining:
                 raise ServiceError("service is already draining")
             self._draining = True
-            session_ids = sorted(self._sessions)
-        self.counts["drains"] += 1
+            self.counts["drains"] += 1
+            sessions = [self._sessions[sid] for sid in sorted(self._sessions)]
         if STATE.enabled:
             registry().counter("monitor.service.drains").inc()
         closed = 0
         verdict_tally: Dict[str, int] = {}
-        for session_id in session_ids:
-            session = self._sessions[session_id]
+        for session in sessions:
             if session.closed:
-                continue
-            report = self.close_session(session_id, timeout_s=timeout_s)
+                continue  # closed concurrently; its closer reports it
+            report = self._close(session, timeout_s)
             closed += 1
             for verdict in report["verdicts"].values():
                 verdict_tally[verdict] = verdict_tally.get(verdict, 0) + 1
@@ -584,10 +629,21 @@ class MonitorService:
             return None
 
 
+def _request_finish(session: Session) -> None:
+    with session.lock:
+        if not session.finish_requested:
+            session.finish_requested = True
+            session.queue.put_control({"kind": "finish"})
+
+
+def _finished(session_id: str) -> ServiceError:
+    return ServiceError(
+        f"session {session_id!r} is finished; no further observations"
+    )
+
+
 def _jsonable_obs(obs: Any) -> Any:
     try:
-        import json
-
         json.dumps(obs)
         return obs
     except (TypeError, ValueError):
