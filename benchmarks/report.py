@@ -18,9 +18,11 @@ shuffled with the constant seed ``ORDER_SEED``.  A pass's time is the sum
 of its ``timed`` points only; workload generation and printing are not
 timed.  Each table prints once, every numeric cell the median of its
 per-pass values.  ``--json`` records each experiment's median pass time
-and interquartile range; ``--baseline`` compares medians against such a
-snapshot and exits 1 when any experiment above ``NOISE_FLOOR_MS`` is more
-than ``MAX_SLOWDOWN`` times slower — the CI gate (docs/CLI.md).  Each run
+and interquartile range, with a ``machine`` record of where they were
+measured; ``--baseline`` compares medians against such a snapshot and
+exits 1 when any experiment above ``NOISE_FLOOR_MS`` is more than
+``MAX_SLOWDOWN`` times slower — the CI gate (docs/CLI.md) — warning when
+the snapshot's machine record differs from this machine's.  Each run
 appends a ``command: "bench"`` record with the medians to the run ledger
 unless ``--ledger off`` or ``REPRO_RUNS=off`` (docs/RUNS.md).
 """
@@ -29,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import random
 import statistics
 import sys
@@ -59,6 +63,7 @@ from repro.detection import (
     possibly_symmetric,
 )
 from repro.monitor import OnlineConjunctiveMonitor
+from repro.perf.clockmatrix import HAVE_NUMPY
 from repro.predicates import (
     absence_of_simple_majority,
     absence_of_two_thirds_majority,
@@ -671,6 +676,25 @@ def run_passes(
     return passes, snapshots
 
 
+def machine_record() -> Dict[str, object]:
+    """The machine and runtime that a run's medians were measured on."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        cores = os.cpu_count() or 1
+    numpy_version = "absent"
+    if HAVE_NUMPY:
+        import numpy
+
+        numpy_version = numpy.__version__
+    return {
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "cores": cores,
+        "numpy": numpy_version,
+    }
+
+
 def check_baseline(
     baseline_path: str,
     medians: Dict[str, float],
@@ -680,10 +704,18 @@ def check_baseline(
 
     Returns the number of regressions (experiments slower than
     ``MAX_SLOWDOWN`` × their baseline median, baseline above the noise
-    floor).
+    floor).  Warns once, without changing the comparison, when the
+    baseline records no machine or a different one.
     """
     with open(baseline_path) as handle:
-        baseline = json.load(handle)["experiments"]
+        snapshot = json.load(handle)
+    baseline = snapshot["experiments"]
+    recorded, here = snapshot.get("machine"), machine_record()
+    if recorded != here:
+        which = ("records no machine" if recorded is None
+                 else f"was measured on {recorded}")
+        print(f"warning: the baseline {which}, this run on {here}; "
+              "medians may not be comparable", file=sys.stderr)
     print(f"\n## Baseline comparison ({baseline_path}, "
           f"max slowdown {MAX_SLOWDOWN:.1f}x, medians of {PASSES} passes)")
     print_row("experiment", "baseline_ms", "median_ms", "iqr_ms", "ratio",
@@ -801,7 +833,10 @@ def main(argv: List[str]) -> int:
             for exp_id in wanted
         }
         with open(args.json_path, "w") as handle:
-            json.dump({"experiments": experiments}, handle, indent=2)
+            json.dump(
+                {"machine": machine_record(), "experiments": experiments},
+                handle, indent=2,
+            )
         print(f"\nwrote metrics snapshots to {args.json_path}")
     regressions = 0
     if args.baseline is not None:

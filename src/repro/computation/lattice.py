@@ -45,11 +45,12 @@ class LevelWalk:
     non-initial event than the previous level's — as a list in discovery
     order: a frontier comes where the first frontier of the previous level
     that reaches it lists it among its successors.  A level is expanded
-    only after the consumer asks for the next one, with one
-    :meth:`~repro.perf.causality.CausalityIndex.successor_frontiers_batch`
-    call, so a consumer that stops early never pays for the rest of the
-    lattice.  Every edge climbs exactly one level, so deduplicating within
-    the level is enough; no lattice-wide ``seen`` set is kept.
+    only after the consumer asks for the next one, one
+    :meth:`~repro.perf.causality.CausalityIndex.successor_frontiers` call
+    per frontier (a receive-delta test, no ``Cut`` objects), so a consumer
+    that stops early never pays for the rest of the lattice.  Every edge
+    climbs exactly one level, so deduplicating within the level is
+    enough; no lattice-wide ``seen`` set is kept.
 
     With ``bounds`` — a ``(least, greatest)`` frontier box, typically a
     slice box from :mod:`repro.slicing.dispatch` — the walk starts at the
@@ -88,8 +89,8 @@ class LevelWalk:
                 level = [f for f in level if self.expand(f)]
             # A dict keeps the first-discovery order of each successor.
             next_level: Dict[Frontier, None] = {}
-            for successors in index.successor_frontiers_batch(level):
-                for nxt in successors:
+            for frontier in level:
+                for nxt in index.successor_frontiers(frontier):
                     if greatest is not None and any(
                         c > g for c, g in zip(nxt, greatest)
                     ):

@@ -133,6 +133,11 @@ def detect(
     """
     if engine not in ("auto", "work-optimal"):
         raise ValueError(f"unknown engine {engine!r}")
+    if not isinstance(modality, Modality):
+        raise TypeError(
+            "modality must be Modality.POSSIBLY or Modality.DEFINITELY, "
+            f"not {modality!r}"
+        )
     with span(
         "detect.query",
         modality=modality.value,

@@ -83,19 +83,6 @@ def false_intervals(
     return intervals
 
 
-def _closure_at_least(
-    computation: Computation, base: Frontier, process: int, minimum: int
-) -> Frontier:
-    """Least consistent cut >= base with ``frontier[process] >= minimum``.
-
-    Delegates to the causality index: the clock matrix's vectorized join
-    fixpoint with numpy, the clock table's closure without.
-    """
-    return CausalityIndex.of(computation).closure_at_least(
-        base, process, minimum
-    )
-
-
 def _dominates(a: Frontier, b: Frontier) -> bool:
     """True iff a <= b componentwise (a reaches everything b reaches)."""
     return all(x <= y for x, y in zip(a, b))
@@ -188,6 +175,7 @@ def _definitely_conjunctive(
     sp.set(anchors=len(intervals))
 
     bottom: Frontier = (1,) * computation.num_processes
+    index = CausalityIndex.of(computation)
 
     # Start anchors: intervals containing the initial event.  If none, the
     # bottom cut satisfies B, so every run hits B immediately.
@@ -223,9 +211,7 @@ def _definitely_conjunctive(
             if frontier[j] > target.end + 1:
                 continue  # j's frontier already left the target interval
             stats.inc("handoffs_checked")
-            landed = _closure_at_least(
-                computation, frontier, j, target.start + 1
-            )
+            landed = index.closure_at_least(frontier, j, target.start + 1)
             if landed[j] > target.end + 1:
                 continue  # overshot the target interval
             if landed[i] > interval.end + 1:

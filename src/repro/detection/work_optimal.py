@@ -44,7 +44,7 @@ from repro.detection.garg_waldecker import SelectionScan
 from repro.events import EventId
 from repro.obs import span
 from repro.perf.causality import CausalityIndex
-from repro.perf.clockmatrix import numpy_available
+from repro.perf.clockmatrix import HAVE_NUMPY
 from repro.perf.parallel import combination_at
 
 __all__ = [
@@ -72,7 +72,7 @@ MAX_CHUNK = 64
 
 def use_batched_sweep(total: int) -> bool:
     """Should a sweep of ``total`` combinations use the batched kernel?"""
-    return numpy_available() and total >= VEC_MIN_COMBINATIONS
+    return HAVE_NUMPY and total >= VEC_MIN_COMBINATIONS
 
 
 class CombinationSweep:
@@ -159,7 +159,6 @@ class CombinationSweep:
         success = np.zeros(B, dtype=bool)
         advances = 0
         rounds = 0
-        matrix._tally(B * m)
         while active.any():
             rounds += 1
             idx = np.nonzero(active)[0]

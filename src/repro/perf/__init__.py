@@ -1,11 +1,15 @@
 """Performance core for the detection engines (substrate S13).
 
-Two pieces, layered under :mod:`repro.detection`:
+Three pieces, layered under :mod:`repro.detection`:
 
 * :class:`~repro.perf.causality.CausalityIndex` — per-computation
-  memoized causality queries (``leq`` fast path and consistency closure
-  over the computation's shared clock table, cached per-clause true
-  events / chain covers / orderedness verdicts);
+  memoized causality queries over the computation's shared clock table
+  (``leq`` fast path, consistency closure, the lattice walk's
+  receive-delta successor test, cached per-clause true events / chain
+  covers / orderedness verdicts);
+* :class:`~repro.perf.clockmatrix.ClockMatrix` — a numpy copy of the
+  clock table for the batched combination sweep; it and the sweep import
+  numpy when constructed, never at package import;
 * :mod:`repro.perf.parallel` — a chunked ``multiprocessing`` driver for
   the Section 3.3 combination sweeps with deterministic first-witness
   semantics and early cancellation.

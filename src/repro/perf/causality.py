@@ -21,14 +21,11 @@ stored on the computation, by every query against the same computation):
   recomputing them;
 * memoized receive-/send-orderedness verdicts per group structure;
 * consistent-successor frontier expansion for lattice walks
-  (:meth:`successor_frontiers`), letting BFS engines track plain frontier
-  tuples instead of constructing and re-hashing :class:`Cut` objects per
-  edge.
-
-With numpy present, the batched entry points (:meth:`closure_at_least`,
-:meth:`successor_frontiers_batch`) run on the lazily built
-:class:`~repro.perf.clockmatrix.ClockMatrix`; without it they answer from
-the table, with identical results.
+  (:meth:`successor_frontiers`) over a lazily built per-event
+  receive-delta table, letting BFS engines track plain frontier tuples
+  instead of constructing and re-hashing :class:`Cut` objects per edge;
+* the dense numpy :class:`~repro.perf.clockmatrix.ClockMatrix`
+  (:attr:`matrix`), built on first use by the batched combination sweep.
 
 Each index is stored on the computation it describes and refers back to
 it only weakly, and it keeps no ``Cut`` (a cut refers to its
@@ -43,14 +40,13 @@ mirrored into the metrics registry as ``perf.*`` counters by
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.computation.chains import minimum_chain_cover
 from repro.computation.computation import Computation
 from repro.events import EventId
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
-from repro.perf.clockmatrix import HAVE_NUMPY
 
 __all__ = ["CausalityIndex"]
 
@@ -78,6 +74,7 @@ class CausalityIndex:
         "_true_all",
         "_covers",
         "_orderedness",
+        "_deltas",
         "_matrix",
         "counters",
         "_flushed",
@@ -99,6 +96,7 @@ class CausalityIndex:
         self._true_all: Dict[object, Tuple[EventId, ...]] = {}
         self._covers: Dict[object, ChainCover] = {}
         self._orderedness: Dict[object, bool] = {}
+        self._deltas: Optional[List[List[Tuple[Tuple[int, int], ...]]]] = None
         self._matrix = None
         self.counters: Dict[str, int] = {
             "clause_cache.hits": 0,
@@ -155,45 +153,58 @@ class CausalityIndex:
             return False
         return self._clk[f[0]][f[1]][e[0]] > ei
 
+    def _receive_deltas(self) -> List[List[Tuple[Tuple[int, int], ...]]]:
+        """The receive-delta table, built on first use.
+
+        ``deltas[p][i]`` holds the ``(q, v)`` pairs, ``q != p``, where the
+        clock of ``(p, i)`` rises above the clock of ``(p, i - 1)`` (above
+        the all-ones running clock for ``i == 1``), so it is empty except
+        at receives.
+        """
+        if self._deltas is None:
+            ones = (1,) * self.num_processes
+            deltas = []
+            for p, rows in enumerate(self._clk):
+                per_event: List[Tuple[Tuple[int, int], ...]] = [()]
+                prev = ones
+                for clk in rows[1:]:
+                    per_event.append(
+                        tuple(
+                            (q, v)
+                            for q, (v, u) in enumerate(zip(clk, prev))
+                            if v > u and q != p
+                        )
+                    )
+                    prev = clk
+                deltas.append(per_event)
+            self._deltas = deltas
+        return self._deltas
+
     def successor_frontiers(
         self, frontier: Tuple[int, ...]
     ) -> List[Tuple[int, ...]]:
         """Frontiers of the consistent cuts immediately above ``frontier``.
 
-        Equivalent to ``[c.frontier for c in Cut(comp, frontier).successors()]``
-        for a consistent frontier, but works on plain tuples: no ``Cut``
-        construction, no frontier re-validation, no clock-object indexing.
+        Equal, order included, to
+        ``[c.frontier for c in Cut(comp, frontier).successors()]`` for a
+        consistent frontier, but works on plain tuples.  The cut already
+        holds ``(p, frontier[p] - 1)`` and, being consistent, that event's
+        causal past, so the next event of ``p`` is enabled iff the
+        components its clock raised over its predecessor's — its receive
+        delta — are covered by the frontier.
         """
         out: List[Tuple[int, ...]] = []
         lengths = self._lengths
-        clk_all = self._clk
-        for p in range(self.num_processes):
-            nxt = frontier[p]
+        deltas = self._receive_deltas()
+        for p, nxt in enumerate(frontier):
             if nxt >= lengths[p]:
                 continue
-            clk = clk_all[p][nxt]
-            enabled = True
-            for q, have in enumerate(frontier):
-                if q != p and clk[q] > have:
-                    enabled = False
+            for q, v in deltas[p][nxt]:
+                if v > frontier[q]:
                     break
-            if enabled:
+            else:
                 out.append(frontier[:p] + (nxt + 1,) + frontier[p + 1 :])
         return out
-
-    def successor_frontiers_batch(
-        self, frontiers: Sequence[Tuple[int, ...]]
-    ) -> List[List[Tuple[int, ...]]]:
-        """Per-input successor frontiers for a batch of frontiers.
-
-        Equivalent to ``[self.successor_frontiers(f) for f in frontiers]``
-        but routed through the :class:`ClockMatrix` frontier-consistency
-        kernel when numpy is active and the batch is worth one array
-        round trip.
-        """
-        if HAVE_NUMPY and len(frontiers) >= 4:
-            return self.matrix.successor_frontiers_batch(frontiers)
-        return [self.successor_frontiers(f) for f in frontiers]
 
     # ------------------------------------------------------------------
     # Consistency closure
@@ -221,13 +232,7 @@ class CausalityIndex:
     def closure_at_least(
         self, base: Frontier, process: int, minimum: int
     ) -> Frontier:
-        """Least consistent frontier >= base with ``f[process] >= minimum``.
-
-        The clock matrix's vectorized fixpoint when numpy is present,
-        :meth:`consistency_closure` on the table otherwise.
-        """
-        if HAVE_NUMPY:
-            return self.matrix.closure_at_least(base, process, minimum)
+        """Least consistent frontier >= base with ``f[process] >= minimum``."""
         frontier = list(base)
         frontier[process] = max(frontier[process], minimum)
         return tuple(self.consistency_closure(frontier))
@@ -343,8 +348,9 @@ class CausalityIndex:
     def matrix(self):
         """The computation's shared :class:`~repro.perf.clockmatrix.ClockMatrix`.
 
-        Built lazily from the clock table.  Needs numpy: callers reach it
-        only when :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.
+        Built lazily from the clock table, importing numpy on the way:
+        callers reach it only when
+        :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.
         """
         if self._matrix is None:
             from repro.perf.clockmatrix import ClockMatrix
@@ -370,13 +376,6 @@ class CausalityIndex:
             if delta:
                 reg.counter(f"perf.{key}").inc(delta)
                 self._flushed[key] = value
-        if self._matrix is not None:
-            for short, value in self._matrix.counters.items():
-                key = f"clockmatrix.{short}"
-                delta = value - self._flushed.get(key, 0)
-                if delta:
-                    reg.counter(f"perf.{key}").inc(delta)
-                    self._flushed[key] = value
         cls = type(self)
         for key, value in (
             ("index.hits", cls.index_hits),

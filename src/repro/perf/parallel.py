@@ -16,8 +16,11 @@ engine's exact semantics:
   scan stops at its first success.  The selection returned is therefore
   the one the serial loop would have found — verdict *and* witness are
   identical by construction.
-* **Early cancellation.**  Once a success is consumed, the pool is
-  terminated; in-flight later chunks are abandoned.
+* **Early cancellation.**  Once a success is consumed, a shared stop
+  event makes every later chunk return unscanned, and the pool is closed
+  and joined once in-flight chunks finish.  It is never terminated: a
+  worker killed while it sends a result leaves the result queue's lock
+  held, and the pool's shutdown then waits on that lock forever.
 * **Fork-friendly distribution.**  Workers receive the computation via
   the pool initializer (inherited by ``fork`` on POSIX — no per-task
   pickling of the trace) and build the shared
@@ -98,15 +101,19 @@ def combination_at(
 # ----------------------------------------------------------------------
 # Worker side
 # ----------------------------------------------------------------------
-_WORKER_STATE: Optional[Tuple[object, object]] = None
+_WORKER_STATE: Optional[Tuple[object, object, object]] = None
 
 
-def _init_worker(computation, per_group_chains) -> None:
+def _init_worker(computation, per_group_chains, stop) -> None:
     """Pool initializer: pin the shared inputs and prebuild the index."""
     from repro.detection.work_optimal import RankScanner
 
     global _WORKER_STATE
-    _WORKER_STATE = (computation, RankScanner(computation, per_group_chains))
+    _WORKER_STATE = (
+        computation,
+        RankScanner(computation, per_group_chains),
+        stop,
+    )
     # Progress pacing and deadline enforcement belong to the driving
     # process; a forked worker must not tick the parent's sink or raise
     # DeadlineExceeded where nobody catches it.
@@ -118,7 +125,8 @@ def _scan_chunk(bounds: Tuple[int, int]):
     """Scan ranks ``[start, stop)`` with the worker's rank scanner.
 
     Returns ``(winning_rank_or_None, selection_or_None, invocations,
-    advances, metrics_snapshot_or_None)``.
+    advances, metrics_snapshot_or_None)``; once the driving process has
+    set the stop event, returns at once with nothing scanned.
 
     When observability is enabled the worker registry is reset at chunk
     start and snapshotted at chunk end, so the driver can merge each
@@ -128,7 +136,9 @@ def _scan_chunk(bounds: Tuple[int, int]):
     aggregates cross the process boundary).
     """
     assert _WORKER_STATE is not None, "worker used before initialization"
-    computation, scanner = _WORKER_STATE
+    computation, scanner, stop = _WORKER_STATE
+    if stop.is_set():
+        return None, None, 0, 0, None
     collect = STATE.enabled
     if collect:
         registry().reset()
@@ -167,18 +177,23 @@ def run_combination_search(
     total = math.prod(len(chains) for chains in per_group_chains)
     if total == 0:
         return ParallelOutcome(None, None, 0, 0, workers, 0)
-    from repro.detection.work_optimal import rank_chunks
+    from repro.detection.work_optimal import rank_chunks, use_batched_sweep
 
+    if use_batched_sweep(total):
+        # Import numpy and build the clock matrix here, once: forked
+        # workers inherit both instead of each importing numpy itself.
+        CausalityIndex.of(computation).matrix
     bounds = chunk_bounds or rank_chunks(total, workers)
     frozen = [
         [list(chain) for chain in chains] for chains in per_group_chains
     ]
     ctx = _pool_context()
     try:
+        stop = ctx.Event()
         pool = ctx.Pool(
             processes=workers,
             initializer=_init_worker,
-            initargs=(computation, frozen),
+            initargs=(computation, frozen, stop),
         )
     except (OSError, ValueError, RuntimeError):
         if STATE.enabled:
@@ -210,7 +225,8 @@ def run_combination_search(
                 )
                 break
     finally:
-        pool.terminate()
+        stop.set()
+        pool.close()
         pool.join()
     trk.finish()
     if outcome is None:

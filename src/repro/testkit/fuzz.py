@@ -233,9 +233,9 @@ def _gen_protocol_faults(rng: "_random.Random", seed: int) -> Instance:
 def _gen_clockmatrix_roundtrip(rng: "_random.Random", seed: int) -> Instance:
     """Simulator traces under random fault plans — crash/restart epochs
     included — as conjunctive instances, so the registry's
-    ``clockmatrix-roundtrip`` engine cross-checks the batched
-    ClockMatrix kernels against the clock table's successor frontiers and
-    consistency closure on them."""
+    ``clockmatrix-roundtrip`` engine cross-checks the causality index's
+    successor frontiers and consistency closure, and the clock matrix's
+    rows, on them."""
     from repro.simulation.faults import CrashSpec, FaultPlan
     from repro.simulation.protocols import build_token_ring
 

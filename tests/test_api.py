@@ -83,6 +83,14 @@ class TestDispatch:
         result = detect(comp, pred, Modality.DEFINITELY)
         assert result.holds  # sums start at 0
 
+    @pytest.mark.parametrize("modality", ["definitely", "possibly", None, 1])
+    def test_non_modality_rejected_up_front(self, comp, modality):
+        pred = conjunctive(local(0, "x"), local(1, "x"))
+        with pytest.raises(TypeError) as err:
+            detect(comp, pred, modality)
+        assert "Modality.POSSIBLY" in str(err.value)
+        assert "Modality.DEFINITELY" in str(err.value)
+
 
 class TestSemantics:
     def test_possibly_definitely_booleans(self, comp):

@@ -1,13 +1,13 @@
-"""Property tests: the clock table's readers and the numpy clock matrix
-agree with each other and with per-pair vector-clock comparisons.
+"""Property tests: the clock table's readers agree with per-pair
+vector-clock comparisons and with the reference cut operations.
 
 The index's pairwise kernels (``leq`` / ``happened_before``, read off the
-shared clock table) are checked against ``VectorClock`` order; the
-batched entry points (``successor_frontiers_batch``, ``closure_at_least``)
-against the per-frontier table answers and a brute-force least cut; and,
-when numpy is present, the matrix kernels against the table.  Inputs are
-arbitrary generated computations *and* simulator traces with
-crash/restart epochs.
+shared clock table) are checked against ``VectorClock`` order; its
+receive-delta ``successor_frontiers`` against ``Cut.successors()``, order
+included, on every consistent frontier; ``closure_at_least`` against a
+brute-force least cut; and, when numpy is present, the clock matrix's
+rows against the table.  Inputs are arbitrary generated computations
+*and* simulator traces with crash/restart epochs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.computation import initial_cut, iter_consistent_cuts
+from repro.computation import Cut, initial_cut, iter_consistent_cuts
 from repro.detection import detect
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
@@ -89,10 +89,10 @@ def assert_frontier_parity(comp):
     seen = {start}
     wave = [start]
     while wave:
-        per_item = [list(index.successor_frontiers(f)) for f in wave]
-        assert index.successor_frontiers_batch(wave) == per_item
-        if numpy_available():
-            assert index.matrix.successor_frontiers_batch(wave) == per_item
+        per_item = [index.successor_frontiers(f) for f in wave]
+        assert per_item == [
+            [c.frontier for c in Cut(comp, f).successors()] for f in wave
+        ]
         wave = sorted(
             {nxt for succ in per_item for nxt in succ} - seen
         )
@@ -107,7 +107,7 @@ class TestKernelParity:
 
     @settings(max_examples=20, deadline=None)
     @given(computations())
-    def test_successor_batch_matches_per_frontier(self, comp):
+    def test_successor_frontiers_match_cut_successors(self, comp):
         assert_frontier_parity(comp)
 
     @settings(max_examples=20, deadline=None)
@@ -119,7 +119,7 @@ class TestKernelParity:
 
     @settings(max_examples=25, deadline=None)
     @given(computations(), st.data())
-    def test_closure_at_least_matrix_matches_table(self, comp, data):
+    def test_closure_at_least_matches_least_cut(self, comp, data):
         index = CausalityIndex.of(comp)
         n = comp.num_processes
         start = tuple(
@@ -144,11 +144,6 @@ class TestKernelParity:
         raised[process] = max(raised[process], minimum)
         assert tuple(index.consistency_closure(raised)) == expected
         assert index.closure_at_least(start, process, minimum) == expected
-        if numpy_available():
-            assert (
-                index.matrix.closure_at_least(start, process, minimum)
-                == expected
-            )
 
 
 class TestStrictEngineMode:
