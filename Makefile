@@ -20,11 +20,13 @@ fuzz:
 	$(PYTHON) -m repro fuzz --seed 0 --iterations 400 --time-budget 30 $(FUZZ_ARGS)
 
 # CI's benchmark regression gate (docs/CLI.md): exits 1 when an
-# experiment's median is more than 2x its committed baseline.
+# experiment's median is more than 2x its committed baseline.  The
+# snapshot and the ledger stay in this checkout's (ignored) .repro/.
 bench:
+	mkdir -p .repro
 	PYTHONPATH=src $(PYTHON) benchmarks/report.py \
 		F1-conj F1-sing-general T-chain T-parallel T-classify \
-		--json /tmp/BENCH_current.json --ledger /tmp/runs.jsonl \
+		--json .repro/BENCH_current.json --ledger .repro/runs.jsonl \
 		--baseline benchmarks/BENCH_baseline.json
 
 report:

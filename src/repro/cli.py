@@ -1357,32 +1357,42 @@ def _fail(message: str, code: int) -> int:
     return code
 
 
+def _loaded(module: str, name: str) -> tuple:
+    """``(module.name,)`` if ``module`` is imported, else ``()``.
+
+    An exception class whose module was never imported cannot have been
+    raised, so ``except _loaded(...)`` matches exactly what importing the
+    class would, without importing its subsystem on every command.
+    """
+    cls = getattr(sys.modules.get(module), name, None)
+    return () if cls is None else (cls,)
+
+
 def _dispatch(args: argparse.Namespace) -> int:
-    from repro.analysis import AnalysisError
     from repro.computation import ComputationError
-    from repro.monitor import MonitorError
     from repro.predicates import PredicateError
-    from repro.service import ServiceError
-    from repro.simulation import FaultPlanError, SimulationError
     from repro.trace import TraceFormatError
 
+    # The clauses are tried in order; ``_loaded`` runs only when an
+    # exception reaches its clause.  FaultPlanError is a ValueError, so
+    # it must stay ahead of the ValueError clause.
     try:
         return args.func(args)
     except PredicateError as exc:
         return _fail(f"bad predicate: {exc}", 2)
-    except FaultPlanError as exc:
+    except _loaded("repro.simulation.faults", "FaultPlanError") as exc:
         return _fail(f"bad fault plan: {exc}", 4)
-    except AnalysisError as exc:
+    except _loaded("repro.analysis.lint.core", "AnalysisError") as exc:
         return _fail(f"lint failed: {exc}", 6)
     except (TraceFormatError, ComputationError) as exc:
         return _fail(f"bad trace: {exc}", 3)
     except OSError as exc:
         return _fail(str(exc), 3)
-    except SimulationError as exc:
+    except _loaded("repro.simulation.simulator", "SimulationError") as exc:
         return _fail(f"simulation failed: {exc}", 4)
-    except MonitorError as exc:
+    except _loaded("repro.monitor.online", "MonitorError") as exc:
         return _fail(f"monitor failed: {exc}", 5)
-    except ServiceError as exc:
+    except _loaded("repro.service.errors", "ServiceError") as exc:
         return _fail(f"service failed: {exc}", 8)
     except ValueError as exc:
         # e.g. an unknown --family name passed to fuzz.

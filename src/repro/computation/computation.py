@@ -278,29 +278,37 @@ class Computation:
             raise ComputationError(f"process {process} out of range")
 
     def _validate_events(self) -> None:
+        initial = EventKind.INITIAL
         for p, seq in enumerate(self._events):
             if not seq:
                 raise ComputationError(f"process {p} has no initial event")
+            initials = 0
             for i, ev in enumerate(seq):
                 if ev.process != p or ev.index != i:
                     raise ComputationError(
                         f"event at position ({p}, {i}) carries id "
                         f"({ev.process}, {ev.index})"
                     )
-            if seq[0].kind is not EventKind.INITIAL:
+                if ev.kind is initial:
+                    initials += 1
+            if seq[0].kind is not initial:
                 raise ComputationError(
                     f"first event of process {p} must have kind INITIAL"
                 )
-            if any(ev.kind is EventKind.INITIAL for ev in seq[1:]):
+            if initials > 1:
                 raise ComputationError(
                     f"process {p} has an INITIAL event at a non-zero index"
                 )
 
     def _validate_messages(self) -> None:
+        events = self._events
+        n = len(events)
         for send_id, recv_id in self._messages:
-            if not self.has_event(send_id):
+            sp, si = send_id
+            if not (0 <= sp < n and 0 <= si < len(events[sp])):
                 raise ComputationError(f"message send endpoint {send_id} unknown")
-            if not self.has_event(recv_id):
+            rp, ri = recv_id
+            if not (0 <= rp < n and 0 <= ri < len(events[rp])):
                 raise ComputationError(
                     f"message receive endpoint {recv_id} unknown"
                 )
@@ -308,17 +316,19 @@ class Computation:
                 raise ComputationError(
                     f"message with identical endpoints {send_id}"
                 )
-            if send_id[1] == 0 or recv_id[1] == 0:
+            if si == 0 or ri == 0:
                 raise ComputationError("initial events cannot exchange messages")
-            if not self.event(send_id).kind.is_send:
+            send_kind = events[sp][si].kind
+            if not send_kind.is_send:
                 raise ComputationError(
                     f"event {send_id} sends a message but has kind "
-                    f"{self.event(send_id).kind.value}"
+                    f"{send_kind.value}"
                 )
-            if not self.event(recv_id).kind.is_receive:
+            recv_kind = events[rp][ri].kind
+            if not recv_kind.is_receive:
                 raise ComputationError(
                     f"event {recv_id} receives a message but has kind "
-                    f"{self.event(recv_id).kind.value}"
+                    f"{recv_kind.value}"
                 )
 
     def _compute_clocks(self) -> List[List[Tuple[int, ...]]]:
@@ -331,11 +341,13 @@ class Computation:
         every initial event, matching the paper's convention that initial
         events precede all other events.  A process whose next event has
         all its senders computed is ready; it runs until its next event
-        waits on a message.
+        waits on a message.  Each process keeps one mutable running clock;
+        every event appends one tuple copy of it to the table.
         """
         n = self.num_processes
         lengths = [len(seq) for seq in self._events]
         received_at = self._received_at
+        sent_from = self._sent_from
         # Uncomputed senders per receive event.
         waiting: Dict[EventId, int] = {
             recv: len(sources) for recv, sources in received_at.items()
@@ -345,7 +357,7 @@ class Computation:
         ]
         # The initial event's clock above is only its *identity* timestamp for
         # comparisons among initial events; propagation starts at all-ones.
-        ones = (1,) * n
+        running = [[1] * n for _ in range(n)]
         ready = [
             p for p in range(n) if lengths[p] > 1 and not waiting.get((p, 1))
         ]
@@ -353,23 +365,32 @@ class Computation:
         while ready:
             p = ready.pop()
             rows = table[p]
+            clk = running[p]
             i = len(rows)
-            clk = rows[-1] if i > 1 else ones
+            end = lengths[p]
+            key = (p, i)
             while True:
-                for sp, si in received_at.get((p, i), ()):
-                    clk = tuple(map(max, clk, table[sp][si]))
-                clk = clk[:p] + (clk[p] + 1,) + clk[p + 1 :]
-                rows.append(clk)
+                sources = received_at.get(key)
+                if sources:
+                    for sp, si in sources:
+                        clk[:] = map(max, clk, table[sp][si])
+                clk[p] += 1
+                rows.append(tuple(clk))
                 processed += 1
-                for recv in self._sent_from.get((p, i), ()):
-                    q = recv[0]
-                    waiting[recv] -= 1
-                    # Wake q if this receive is its next event; p itself
-                    # is still running.
-                    if not waiting[recv] and q != p and len(table[q]) == recv[1]:
-                        ready.append(q)
+                targets = sent_from.get(key)
+                if targets:
+                    for recv in targets:
+                        q = recv[0]
+                        waiting[recv] -= 1
+                        # Wake q if this receive is its next event; p itself
+                        # is still running.
+                        if not waiting[recv] and q != p and len(table[q]) == recv[1]:
+                            ready.append(q)
                 i += 1
-                if i == lengths[p] or waiting.get((p, i)):
+                if i == end:
+                    break
+                key = (p, i)
+                if waiting.get(key):
                     break
 
         if processed != self.total_events():

@@ -29,8 +29,9 @@ dependencies, ...) still raise the usual
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Sequence
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Union
 
 from repro.computation import Computation
 from repro.events import Event, EventKind
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 FORMAT = "repro-trace-v1"
+
+#: Event kinds by their trace spelling; misses fall back to ``EventKind()``.
+_KINDS = {kind.value: kind for kind in EventKind}
 
 
 class TraceFormatError(ValueError):
@@ -76,9 +80,13 @@ def computation_to_dict(computation: Computation) -> Dict[str, Any]:
     return payload
 
 
-def _parse_endpoint(
-    entry: Any, what: str, fail: "_Fail"
-) -> tuple:
+def _parse_endpoint(entry: Any, m: int, role: str, fail: "_Fail") -> tuple:
+    """``entry`` as a ``(process, index)`` pair of plain integers."""
+    if type(entry) is list and len(entry) == 2:
+        process, index = entry
+        if type(process) is int and type(index) is int:
+            return (process, index)
+    what = f"message {m} {role} endpoint"
     if (
         not isinstance(entry, Sequence)
         or isinstance(entry, (str, bytes))
@@ -90,6 +98,24 @@ def _parse_endpoint(
         if isinstance(part, bool) or not isinstance(part, int):
             fail(f"{what} components must be integers, got {entry!r}")
     return (process, index)
+
+
+def _is_list(value: Any) -> bool:
+    """True for a list or any other non-string sequence."""
+    return type(value) is list or (
+        isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+    )
+
+
+def _event_kind(raw: Any, p: int, i: int, fail: "_Fail") -> EventKind:
+    """Look up a kind missing from ``_KINDS`` (an ``EventKind``, or bad)."""
+    try:
+        return EventKind(raw)
+    except ValueError:
+        fail(
+            f"process {p}, event {i}: unknown event kind {raw!r} "
+            f"(expected one of {sorted(k.value for k in EventKind)})"
+        )
 
 
 class _Fail:
@@ -107,6 +133,11 @@ def computation_from_dict(
 ) -> Computation:
     """Deserialize a computation; validates structure and format tag.
 
+    ``dict`` and ``list`` (what :func:`json.load` returns) are tested by
+    exact type first; any other ``Mapping`` or non-string ``Sequence``
+    (a ``MappingProxyType``, a tuple, ...) is accepted the same way.
+    Error messages are built only once a check has failed.
+
     Args:
         data: The parsed JSON payload.
         source: Optional provenance (e.g. a file name) prefixed to error
@@ -118,7 +149,7 @@ def computation_from_dict(
             computation (bad message endpoints, cycles, ...).
     """
     fail = _Fail(source)
-    if not isinstance(data, Mapping):
+    if type(data) is not dict and not isinstance(data, Mapping):
         fail(f"trace must be a JSON object, got {type(data).__name__}")
     fmt = data.get("format")
     if fmt != FORMAT:
@@ -126,70 +157,57 @@ def computation_from_dict(
     if "processes" not in data:
         fail("missing required key 'processes'")
     raw_processes = data["processes"]
-    if not isinstance(raw_processes, Sequence) or isinstance(
-        raw_processes, (str, bytes)
-    ):
+    if not _is_list(raw_processes):
         fail(
             "'processes' must be a list of per-process event lists, got "
             f"{type(raw_processes).__name__}"
         )
     process_events: List[List[Event]] = []
     for p, records in enumerate(raw_processes):
-        if not isinstance(records, Sequence) or isinstance(records, (str, bytes)):
+        if not _is_list(records):
             fail(
                 f"process {p}: events must be a list, got "
                 f"{type(records).__name__}"
             )
         events: List[Event] = []
         for i, record in enumerate(records):
-            where = f"process {p}, event {i}"
-            if not isinstance(record, Mapping):
-                fail(f"{where}: expected an object, got {type(record).__name__}")
-            if "kind" not in record:
-                fail(f"{where}: missing required key 'kind'")
-            try:
-                kind = EventKind(record["kind"])
-            except ValueError:
+            if type(record) is not dict and not isinstance(record, Mapping):
                 fail(
-                    f"{where}: unknown event kind {record['kind']!r} "
-                    f"(expected one of {sorted(k.value for k in EventKind)})"
+                    f"process {p}, event {i}: expected an object, got "
+                    f"{type(record).__name__}"
                 )
+            if "kind" not in record:
+                fail(f"process {p}, event {i}: missing required key 'kind'")
+            raw_kind = record["kind"]
+            try:
+                kind = _KINDS[raw_kind]
+            except (KeyError, TypeError):
+                kind = _event_kind(raw_kind, p, i, fail)
             values = record.get("values", {})
-            if not isinstance(values, Mapping):
+            if type(values) is not dict and not isinstance(values, Mapping):
                 fail(
-                    f"{where}: 'values' must be an object, got "
-                    f"{type(values).__name__}"
+                    f"process {p}, event {i}: 'values' must be an object, "
+                    f"got {type(values).__name__}"
                 )
             label = record.get("label")
             if label is not None and not isinstance(label, str):
-                fail(f"{where}: 'label' must be a string, got {label!r}")
-            events.append(
-                Event(
-                    process=p,
-                    index=i,
-                    kind=kind,
-                    values=dict(values),
-                    label=label,
+                fail(
+                    f"process {p}, event {i}: 'label' must be a string, "
+                    f"got {label!r}"
                 )
-            )
+            events.append(Event(p, i, kind, dict(values), label))
         process_events.append(events)
     raw_messages = data.get("messages", [])
-    if not isinstance(raw_messages, Sequence) or isinstance(
-        raw_messages, (str, bytes)
-    ):
+    if not _is_list(raw_messages):
         fail(f"'messages' must be a list, got {type(raw_messages).__name__}")
     messages = []
     for m, entry in enumerate(raw_messages):
-        if (
-            not isinstance(entry, Sequence)
-            or isinstance(entry, (str, bytes))
-            or len(entry) != 2
-        ):
+        if not _is_list(entry) or len(entry) != 2:
             fail(
                 f"message {m} must be a [send, receive] pair, got {entry!r}"
             )
-        send = _parse_endpoint(entry[0], f"message {m} send endpoint", fail)
-        recv = _parse_endpoint(entry[1], f"message {m} receive endpoint", fail)
+        send = _parse_endpoint(entry[0], m, "send", fail)
+        recv = _parse_endpoint(entry[1], m, "receive", fail)
         messages.append((send, recv))
     meta = data.get("meta")
     if meta is not None and not isinstance(meta, Mapping):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 from pathlib import Path
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.trace import dump_computation
 
@@ -252,6 +254,49 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         assert code == 4
         assert "process 99" in captured.err
+
+    @pytest.mark.parametrize(
+        "module, name, code, prefix",
+        [
+            ("repro.simulation", "FaultPlanError", 4, "bad fault plan"),
+            ("repro.analysis", "AnalysisError", 6, "lint failed"),
+            ("repro.simulation", "SimulationError", 4, "simulation failed"),
+            ("repro.monitor", "MonitorError", 5, "monitor failed"),
+            ("repro.service", "ServiceError", 8, "service failed"),
+        ],
+    )
+    def test_subsystem_error_exit_codes(
+        self, module, name, code, prefix, trace_path, monkeypatch, capsys
+    ):
+        # The dispatcher matches these classes without importing their
+        # subsystems; raise each from a command to pin code and prefix.
+        error = getattr(importlib.import_module(module), name)
+
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "_cmd_info", fail)
+        assert main(["info", trace_path]) == code
+        assert capsys.readouterr().err == f"repro: {prefix}: boom\n"
+
+    def test_plain_value_error_exits_two(self, trace_path, monkeypatch, capsys):
+        def fail(args):
+            raise ValueError("no such family")
+
+        monkeypatch.setattr(cli, "_cmd_info", fail)
+        assert main(["info", trace_path]) == 2
+        assert capsys.readouterr().err == "repro: no such family\n"
+
+    def test_unmapped_error_propagates_unchanged(self, trace_path, monkeypatch):
+        raised = RuntimeError("not a user error")
+
+        def fail(args):
+            raise raised
+
+        monkeypatch.setattr(cli, "_cmd_info", fail)
+        with pytest.raises(RuntimeError) as info:
+            main(["info", trace_path])
+        assert info.value is raised
 
 
 class TestLint:
