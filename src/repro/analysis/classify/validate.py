@@ -19,14 +19,17 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Iterator, List
+from typing import Callable, Iterator, Sequence, Tuple
 
 from repro.analysis.classify.certificate import Classification
 from repro.analysis.classify.fragment import evaluate_node
 from repro.computation import Computation, Cut
+from repro.perf.causality import CausalityIndex
 from repro.predicates.base import GlobalPredicate
 
-__all__ = ["sample_cuts", "validate_certificate"]
+__all__ = ["sample_cuts", "sample_frontiers", "validate_certificate"]
+
+Frontier = Tuple[int, ...]
 
 #: Exhaustively check computations whose frontier space is this small.
 EXHAUSTIVE_VOLUME = 512
@@ -35,41 +38,31 @@ EXHAUSTIVE_VOLUME = 512
 SAMPLE_SIZE = 64
 
 
-def _lengths(computation: Computation) -> List[int]:
-    return [
-        len(computation.events_of(p))
-        for p in range(computation.num_processes)
-    ]
-
-
-def _seed(lengths: List[int]) -> int:
+def _seed(lengths: Sequence[int]) -> int:
     seed = 0x9E3779B1
     for length in lengths:
         seed = (seed * 1000003 + length) & 0xFFFFFFFF
     return seed
 
 
-def sample_cuts(computation: Computation) -> Iterator[Cut]:
-    """Deterministic cut sample: exhaustive when small, seeded otherwise.
+def sample_frontiers(lengths: Tuple[int, ...]) -> Tuple[Frontier, ...]:
+    """The frontiers :func:`sample_cuts` yields for a computation shape.
 
-    Cuts need not be consistent — pointwise agreement on *all* cuts is a
-    stronger witness than agreement on the consistent sublattice, and the
-    fragment's reads are well-defined on any frontier.
+    ``lengths[p]`` counts the events of process ``p``, initial included.
+    Every frontier when the volume is at most :data:`EXHAUSTIVE_VOLUME`;
+    otherwise the bottom and top frontiers, then up to
+    :data:`SAMPLE_SIZE` distinct seeded random draws.
     """
-    lengths = _lengths(computation)
     volume = 1
     for length in lengths:
         volume *= length
         if volume > EXHAUSTIVE_VOLUME:
             break
     if volume <= EXHAUSTIVE_VOLUME:
-        for frontier in itertools.product(
-            *(range(1, length + 1) for length in lengths)
-        ):
-            yield Cut(computation, frontier)
-        return
-    yield Cut(computation, [1] * len(lengths))
-    yield Cut(computation, lengths)
+        return tuple(
+            itertools.product(*(range(1, length + 1) for length in lengths))
+        )
+    frontiers = [(1,) * len(lengths), tuple(lengths)]
     rng = random.Random(_seed(lengths))
     seen = set()
     for _ in range(SAMPLE_SIZE):
@@ -77,6 +70,28 @@ def sample_cuts(computation: Computation) -> Iterator[Cut]:
         if frontier in seen:
             continue
         seen.add(frontier)
+        frontiers.append(frontier)
+    return tuple(frontiers)
+
+
+def sample_cuts(computation: Computation) -> Iterator[Cut]:
+    """Deterministic cut sample: exhaustive when small, seeded otherwise.
+
+    Cuts need not be consistent — pointwise agreement on *all* cuts is a
+    stronger witness than agreement on the consistent sublattice, and the
+    fragment's reads are well-defined on any frontier.  The frontiers
+    depend only on the computation's shape, so they are drawn once and
+    kept on its :class:`~repro.perf.causality.CausalityIndex`.
+    """
+    index = CausalityIndex.of(computation)
+    frontiers = index.validation_sample
+    if frontiers is None:
+        lengths = tuple(
+            len(computation.events_of(p))
+            for p in range(computation.num_processes)
+        )
+        frontiers = index.validation_sample = sample_frontiers(lengths)
+    for frontier in frontiers:
         yield Cut(computation, frontier)
 
 

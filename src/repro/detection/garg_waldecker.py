@@ -33,7 +33,6 @@ from repro.obs.progress import tracker
 from repro.perf.causality import CausalityIndex
 from repro.predicates.base import GlobalPredicate
 from repro.predicates.conjunctive import ConjunctivePredicate
-from repro.predicates.local import true_events
 
 __all__ = [
     "find_consistent_selection",
@@ -180,13 +179,14 @@ def detect_conjunctive(
     the predicate possibly holds.
     """
     with span("engine.cpdhb", conjuncts=len(predicate.conjuncts)) as sp:
+        index = CausalityIndex.of(computation)
         chains = [
-            true_events(computation, conjunct)
+            index.local_true_events(conjunct)
             for conjunct in predicate.conjuncts
         ]
         scan = SelectionScan(computation, chains)
         selection = scan.run()
-        CausalityIndex.of(computation).maybe_flush_metrics()
+        index.maybe_flush_metrics()
         stats = StatCounters("engine.cpdhb")
         stats.set("chains", len(chains))
         stats.inc("advances", scan.advances)

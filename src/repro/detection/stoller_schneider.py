@@ -33,8 +33,9 @@ from typing import Dict, List, Sequence, Tuple
 from repro.computation import Computation
 from repro.detection.garg_waldecker import SelectionScan, selection_witness
 from repro.detection.result import DetectionResult
-from repro.events import Event, EventId
+from repro.events import EventId
 from repro.obs import StatCounters, span
+from repro.perf.causality import CausalityIndex
 from repro.predicates.boolean import CNFPredicate
 from repro.predicates.local import Literal
 
@@ -42,14 +43,18 @@ __all__ = ["detect_cnf_by_literal_choice"]
 
 
 def _true_events_for_conjunction(
-    computation: Computation, process: int, literals: Sequence[Literal]
-) -> List[EventId]:
-    """Events of ``process`` where all given literals hold."""
-    result: List[EventId] = []
-    for event in computation.events_of(process):
-        if all(lit.holds_after(event) for lit in literals):
-            result.append(event.event_id)
-    return result
+    index: CausalityIndex, literals: Sequence[Literal]
+) -> Sequence[EventId]:
+    """Events of the literals' one process where all of them hold.
+
+    The intersection of the literals' memoized true-event lists, in local
+    order.
+    """
+    first, *rest = [index.literal_true_events(lit) for lit in literals]
+    if not rest:
+        return first
+    others = [set(trues) for trues in rest]
+    return [e for e in first if all(e in trues for trues in others)]
 
 
 def detect_cnf_by_literal_choice(
@@ -71,6 +76,7 @@ def detect_cnf_by_literal_choice(
         clauses=len(clause_literals),
         combinations=total,
     ) as sp:
+        index = CausalityIndex.of(computation)
         stats = StatCounters("engine.stoller-schneider")
         stats.set("combinations", total)
         stats.inc("contradictory", 0)
@@ -90,10 +96,8 @@ def detect_cnf_by_literal_choice(
                 stats.inc("contradictory")
                 continue
             chains = [
-                _true_events_for_conjunction(
-                    computation, process, list(bucket.values())
-                )
-                for process, bucket in sorted(by_process.items())
+                _true_events_for_conjunction(index, list(bucket.values()))
+                for _, bucket in sorted(by_process.items())
             ]
             stats.inc("invocations")
             with span("scan.cpdhb") as scan_sp:
@@ -101,6 +105,7 @@ def detect_cnf_by_literal_choice(
                 selection = scan.run()
                 scan_sp.set(advances=scan.advances)
             if selection is not None:
+                index.maybe_flush_metrics()
                 sp.set(holds=True)
                 return DetectionResult(
                     holds=True,
@@ -110,6 +115,7 @@ def detect_cnf_by_literal_choice(
                     algorithm="stoller-schneider",
                     stats=stats.as_dict(),
                 )
+        index.maybe_flush_metrics()
         sp.set(holds=False)
         return DetectionResult(
             holds=False, algorithm="stoller-schneider", stats=stats.as_dict()

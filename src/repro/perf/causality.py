@@ -2,7 +2,7 @@
 
 Every engine in :mod:`repro.detection` ultimately spends its time on the
 same two questions: *does this event causally precede that one*, and
-*which events make this clause true*.  The paper's Section 3.3
+*which events make this literal or clause true*.  The paper's Section 3.3
 enumeration engines ask them once per CPDHB scan — and run up to
 ``prod c_j`` scans over the **same immutable computation**, re-deriving
 identical answers on every scan.
@@ -16,20 +16,28 @@ stored on the computation, by every query against the same computation):
   ``leq`` fast path with no per-call id validation;
 * the table's consistency closure (:meth:`consistency_closure`), shared
   by the slicer's rounding and :meth:`closure_at_least`;
-* memoized per-clause true-event lists and minimum chain covers, so the
+* memoized per-literal true-event lists (:meth:`literal_true_events`),
+  the one source of the true events CPDHB, the slicer, the
+  Stoller–Schneider decomposition and the clause memos scan;
+* memoized per-clause true-event lists and minimum chain covers, keyed
+  by the clause's literals rather than the clause object, so the
   process-choice/chain-choice engines and the auto dispatcher stop
-  recomputing them;
+  recomputing them — also for a re-parsed predicate;
 * memoized receive-/send-orderedness verdicts per group structure;
 * consistent-successor frontier expansion for lattice walks
   (:meth:`successor_frontiers`) over a lazily built per-event
   receive-delta table, letting BFS engines track plain frontier tuples
   instead of constructing and re-hashing :class:`Cut` objects per edge;
 * the dense numpy :class:`~repro.perf.clockmatrix.ClockMatrix`
-  (:attr:`matrix`), built on first use by the batched combination sweep.
+  (:attr:`matrix`), built on first use by the batched combination sweep;
+* the classifier's validation sample (:attr:`validation_sample`), which
+  depends only on the computation's shape and is drawn once by
+  :func:`repro.analysis.classify.validate.sample_cuts`.
 
 Each index is stored on the computation it describes and refers back to
 it only weakly, and it keeps no ``Cut`` (a cut refers to its
-computation), so dropping the last reference to a computation frees the
+computation) and no predicate, only int tuples and the literal keys
+naming them, so dropping the last reference to a computation frees the
 computation and its index by reference counting alone — also after a
 lattice walk.
 All cache hit/miss tallies are kept as plain integers (always cheap) and
@@ -40,19 +48,24 @@ mirrored into the metrics registry as ``perf.*`` counters by
 from __future__ import annotations
 
 import weakref
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.computation.chains import minimum_chain_cover
 from repro.computation.computation import Computation
 from repro.events import EventId
 from repro.obs.config import STATE
 from repro.obs.metrics import registry
+from repro.predicates.local import Literal, LocalPredicate, true_events
 
 __all__ = ["CausalityIndex"]
 
 #: Chains of a cover, as immutable event-id tuples.
 ChainCover = Tuple[Tuple[EventId, ...], ...]
 Frontier = Tuple[int, ...]
+#: A literal's ``(process, variable, negated)`` key.
+LiteralKey = Tuple[int, str, bool]
+#: A clause's key: the set of its literals' keys.
+ClauseKey = FrozenSet[LiteralKey]
 
 #: Attribute under which a computation holds its index.
 _INDEX_ATTR = "_causality_index"
@@ -70,12 +83,14 @@ class CausalityIndex:
         "num_processes",
         "_lengths",
         "_clk",
+        "_literal_true",
         "_true_on",
         "_true_all",
         "_covers",
         "_orderedness",
         "_deltas",
         "_matrix",
+        "validation_sample",
         "counters",
         "_flushed",
         "__weakref__",
@@ -92,13 +107,19 @@ class CausalityIndex:
         self._clk: List[List[Tuple[int, ...]]] = computation._clk
         self.num_processes = computation.num_processes
         self._lengths: List[int] = [len(rows) for rows in self._clk]
-        self._true_on: Dict[object, Tuple[EventId, ...]] = {}
-        self._true_all: Dict[object, Tuple[EventId, ...]] = {}
-        self._covers: Dict[object, ChainCover] = {}
+        self._literal_true: Dict[LiteralKey, Tuple[EventId, ...]] = {}
+        self._true_on: Dict[Tuple[ClauseKey, int], Tuple[EventId, ...]] = {}
+        self._true_all: Dict[ClauseKey, Tuple[EventId, ...]] = {}
+        self._covers: Dict[ClauseKey, ChainCover] = {}
         self._orderedness: Dict[object, bool] = {}
         self._deltas: Optional[List[List[Tuple[Tuple[int, int], ...]]]] = None
         self._matrix = None
+        #: Frontiers of the classifier's validation sample, stored by
+        #: :func:`repro.analysis.classify.validate.sample_cuts` on first use.
+        self.validation_sample: Optional[Tuple[Frontier, ...]] = None
         self.counters: Dict[str, int] = {
+            "literal_cache.hits": 0,
+            "literal_cache.misses": 0,
             "clause_cache.hits": 0,
             "clause_cache.misses": 0,
             "chain_cover.hits": 0,
@@ -238,31 +259,75 @@ class CausalityIndex:
         return tuple(self.consistency_closure(frontier))
 
     # ------------------------------------------------------------------
+    # Per-literal memoization (every true-event engine)
+    # ------------------------------------------------------------------
+    def literal_true_events(self, lit: Literal) -> Tuple[EventId, ...]:
+        """Memoized true events of a :class:`~repro.predicates.local.Literal`.
+
+        The events of the literal's process, initial event included,
+        after which its variable is truthy (falsy when negated; a missing
+        variable reads ``False``), in local order — the events
+        :func:`~repro.predicates.local.true_events` returns, keyed by the
+        literal's ``(process, variable, negated)``.
+        """
+        key = lit.key
+        cached = self._literal_true.get(key)
+        if cached is not None:
+            self.counters["literal_cache.hits"] += 1
+            return cached
+        self.counters["literal_cache.misses"] += 1
+        p, var, negated = key
+        events = self.computation.events_of(p)
+        if negated:
+            result = tuple(
+                (p, i)
+                for i, e in enumerate(events)
+                if not e.values.get(var, False)
+            )
+        else:
+            result = tuple(
+                (p, i) for i, e in enumerate(events) if e.values.get(var, False)
+            )
+        self._literal_true[key] = result
+        return result
+
+    def local_true_events(self, pred: LocalPredicate) -> Sequence[EventId]:
+        """True events of a local predicate, memoized for a plain ``Literal``.
+
+        Any other local predicate — an opaque ``local_fn`` body, or a
+        ``Literal`` subclass that may change the truth rule — is rescanned
+        with :func:`~repro.predicates.local.true_events`.
+        """
+        if type(pred) is Literal:
+            return self.literal_true_events(pred)
+        return true_events(self.computation, pred)
+
+    # ------------------------------------------------------------------
     # Per-clause memoization (singular k-CNF engines)
     # ------------------------------------------------------------------
     def clause_true_events_on(self, cl, process: int) -> Tuple[EventId, ...]:
         """Memoized events of ``process`` making some literal of ``cl`` true."""
-        key = (cl, process)
+        key = (cl.key, process)
         cached = self._true_on.get(key)
         if cached is not None:
             self.counters["clause_cache.hits"] += 1
             return cached
         self.counters["clause_cache.misses"] += 1
-        literals = [lit for lit in cl.literals if lit.process == process]
-        if literals:
-            result = tuple(
-                event.event_id
-                for event in self.computation.events_of(process)
-                if any(lit.holds_after(event) for lit in literals)
-            )
+        lists = [
+            self.literal_true_events(lit)
+            for lit in cl.literals
+            if lit.process == process
+        ]
+        if len(lists) == 1:
+            result = lists[0]
         else:
-            result = ()
+            result = tuple(sorted(set().union(*lists)))
         self._true_on[key] = result
         return result
 
     def clause_true_events(self, cl) -> Tuple[EventId, ...]:
         """Memoized true events of the clause across its whole group."""
-        cached = self._true_all.get(cl)
+        cached = self._true_all.get(cl.key)
         if cached is not None:
             self.counters["clause_cache.hits"] += 1
             return cached
@@ -271,12 +336,12 @@ class CausalityIndex:
         for process in sorted(cl.processes()):
             result.extend(self.clause_true_events_on(cl, process))
         out = tuple(result)
-        self._true_all[cl] = out
+        self._true_all[cl.key] = out
         return out
 
     def chain_cover(self, cl) -> ChainCover:
         """Memoized minimum chain cover of the clause's true events."""
-        cached = self._covers.get(cl)
+        cached = self._covers.get(cl.key)
         if cached is not None:
             self.counters["chain_cover.hits"] += 1
             return cached
@@ -286,7 +351,7 @@ class CausalityIndex:
             tuple(chain)
             for chain in minimum_chain_cover(self.computation, list(trues))
         )
-        self._covers[cl] = cover
+        self._covers[cl.key] = cover
         return cover
 
     # ------------------------------------------------------------------

@@ -31,6 +31,11 @@ class Clause(GlobalPredicate):
         self.literals: Tuple[Literal, ...] = tuple(literals)
         if not self.literals:
             raise PredicateError("a clause needs at least one literal")
+        #: Structural identity: the set of the literals' keys.  Equal for
+        #: clauses parsed from the same text, so per-clause memos hit.
+        self.key: FrozenSet[Tuple[int, str, bool]] = frozenset(
+            lit.key for lit in self.literals
+        )
 
     def evaluate(self, cut: Cut) -> bool:
         return any(lit.evaluate(cut) for lit in self.literals)

@@ -13,8 +13,7 @@ true events be completed into a witness cut).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from repro.computation import Computation, Cut
 from repro.events import Event, EventId
@@ -64,13 +63,6 @@ class LocalPredicate(GlobalPredicate):
         return f"LocalPredicate(p{self.process}: {self._name})"
 
 
-@dataclass(frozen=True)
-class _LiteralKey:
-    process: int
-    variable: str
-    negated: bool
-
-
 class Literal(LocalPredicate):
     """A boolean variable of one process, possibly negated.
 
@@ -88,23 +80,24 @@ class Literal(LocalPredicate):
             return (not value) if _neg else value
 
         super().__init__(process, fn, f"{sign}{variable}@p{process}")
+        self._key = (self.process, variable, self.negated)
 
     def negate(self) -> "Literal":
         """The complementary literal."""
         return Literal(self.process, self.variable, not self.negated)
 
     @property
-    def key(self) -> _LiteralKey:
-        """Hashable identity of the literal."""
-        return _LiteralKey(self.process, self.variable, self.negated)
+    def key(self) -> Tuple[int, str, bool]:
+        """Hashable identity of the literal: ``(process, variable, negated)``."""
+        return self._key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Literal):
             return NotImplemented
-        return self.key == other.key
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self.key)
+        return hash(self._key)
 
     def __repr__(self) -> str:
         return f"Literal(p{self.process}, {self.variable!r}, negated={self.negated})"
@@ -128,7 +121,11 @@ def true_events(
     """Events of the hosting process after which the predicate holds.
 
     Initial events are included by default because consistent cuts may pass
-    through them (a variable may be true initially).
+    through them (a variable may be true initially).  The engines read a
+    :class:`Literal`'s true events from
+    :meth:`repro.perf.CausalityIndex.literal_true_events`, built once per
+    computation; this uncached scan serves opaque local predicates and the
+    referees that check the engines.
     """
     result: List[EventId] = []
     events = computation.events_of(predicate.process)

@@ -44,7 +44,7 @@ from repro.computation import Computation, Cut
 from repro.obs.progress import tracker
 from repro.perf import CausalityIndex
 from repro.predicates.conjunctive import ConjunctivePredicate
-from repro.predicates.local import LocalPredicate, true_events
+from repro.predicates.local import LocalPredicate
 
 __all__ = ["ConjunctiveSlice"]
 
@@ -72,7 +72,7 @@ class ConjunctiveSlice:
         self._true_indices: Dict[int, List[int]] = {}
         for p, conj in self._conjunct_of.items():
             self._true_indices[p] = [
-                eid[1] for eid in true_events(computation, conj)
+                eid[1] for eid in self._index.local_true_events(conj)
             ]
         self._least_fr: Optional[Frontier] = None
         self._greatest_fr: Optional[Frontier] = None
