@@ -45,6 +45,8 @@ from workloads import (
     chain_structured_group,
     conjunctive_workload,
     exponential_subset_sum,
+    general_cnf_workload,
+    random_cnf_workload,
     singular_workload,
     unit_walk_workload,
 )
@@ -55,6 +57,7 @@ from repro.detection import (
     definitely_sum,
     detect_by_chain_choice,
     detect_by_process_choice,
+    detect_cnf_by_literal_choice,
     detect_conjunctive,
     detect_special_case,
     possibly_enumerate,
@@ -190,6 +193,29 @@ def f1_sing_general(t: Table) -> None:
         enum, ms_enum = t.timed(possibly_enumerate, comp, pred)
         t.row(m, "cooper-marzullo", enum.stats["cuts_explored"], enum.holds,
               ms_enum)
+
+
+def f1_general_cnf(t: Table) -> None:
+    t.header(
+        "F1-general-cnf",
+        "non-singular CNF: one literal choice per clause, one combination "
+        "sweep (Stoller–Schneider)",
+    )
+    t.row("instance", "clauses", "combinations", "invocations", "holds",
+          "time_ms")
+    instances = [
+        ("pipelines", general_cnf_workload(True), True),
+        ("pipelines-seq", general_cnf_workload(False), False),
+        # Seed 0: the first literal choice holds.  Seed 1: the first 90
+        # choices each pair x with not x on some process and fail.
+        ("random-s0", random_cnf_workload(0), True),
+        ("random-s1", random_cnf_workload(1), True),
+    ]
+    for name, (comp, pred), holds in instances:
+        result, ms = t.timed(detect_cnf_by_literal_choice, comp, pred)
+        assert result.holds == holds
+        t.row(name, len(pred.clauses), result.stats["combinations"],
+              result.stats["invocations"], result.holds, ms)
 
 
 def f1_rel_ineq(t: Table) -> None:
@@ -629,6 +655,7 @@ EXPERIMENTS: Dict[str, Callable[[Table], None]] = {
     "F1-conj": f1_conj,
     "F1-sing-special": f1_sing_special,
     "F1-sing-general": f1_sing_general,
+    "F1-general-cnf": f1_general_cnf,
     "F1-rel-ineq": f1_rel_ineq,
     "F1-sum-eq-unit": f1_sum_eq_unit,
     "F1-sum-eq-arb": f1_sum_eq_arbitrary,

@@ -7,6 +7,7 @@ All workloads are seeded; re-running regenerates identical inputs.
 
 from __future__ import annotations
 
+import random
 from typing import List
 
 from repro.computation import Computation, ComputationBuilder
@@ -181,3 +182,53 @@ def chain_structured_group(
                         tails.append(previous_send)
         previous_tails = tails
     return builder.build(), singular_cnf(*clauses)
+
+
+def general_cnf_workload(satisfiable: bool, events_per_process: int = 12):
+    """A non-singular 7-clause 3-CNF over ``x`` on eight processes.
+
+    Clause ``j`` is ``x@j | x@(j+1) | x@(j+3)`` (mod 8), so neighbouring
+    clauses share processes and no process is in every clause.  The
+    trace is :func:`chain_structured_group` with four groups of two, one
+    pipeline each, so the two processes of a group are never true
+    together.  With ``satisfiable=False`` the groups are sequentialized
+    too: no two processes are ever true together, so every one of the
+    ``3^7 = 2187`` literal choices (each puts literals on at least two
+    processes) must be refuted.
+    """
+    comp, _ = chain_structured_group(
+        4,
+        2,
+        chains_per_group=1,
+        events_per_process=events_per_process,
+        satisfiable=satisfiable,
+    )
+    clauses = [
+        clause(*(local((j + k) % 8, "x") for k in (0, 1, 3)))
+        for j in range(7)
+    ]
+    return comp, CNFPredicate(clauses)
+
+
+def random_cnf_workload(seed: int):
+    """A seeded 7-clause 3-CNF over ``x`` on an 8-process random trace.
+
+    40 events per process, message density 0.3, ``x`` true with
+    probability 0.2; each clause names three distinct processes with
+    random polarities, so clauses share processes and many literal
+    choices pair ``x`` with ``not x`` on one process.
+    """
+    rng = random.Random(seed)
+    comp = random_computation(
+        8, 40, 0.3, seed=seed, variables=[BoolVar("x", 0.2)]
+    )
+    clauses = [
+        clause(
+            *(
+                local(p, "x", negated=rng.random() < 0.5)
+                for p in rng.sample(range(8), 3)
+            )
+        )
+        for _ in range(7)
+    ]
+    return comp, CNFPredicate(clauses)

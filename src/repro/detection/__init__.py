@@ -36,11 +36,11 @@ from repro.detection.singular_cnf import (
     clause_true_events_on,
     detect_by_chain_choice,
     detect_by_process_choice,
+    detect_cnf_by_literal_choice,
     detect_singular,
     detect_special_case,
 )
 from repro.detection.stable import detect_stable, is_stable
-from repro.detection.stoller_schneider import detect_cnf_by_literal_choice
 from repro.detection.witnesses import count_witnesses, iter_witnesses
 from repro.detection.symmetric_detect import (
     definitely_symmetric,

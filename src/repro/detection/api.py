@@ -48,9 +48,11 @@ from repro.detection.definitely_conjunctive import definitely_conjunctive
 from repro.detection.garg_waldecker import detect_conjunctive
 from repro.detection.relational_sum import definitely_sum, possibly_sum
 from repro.detection.result import DetectionResult
-from repro.detection.singular_cnf import detect_singular
+from repro.detection.singular_cnf import (
+    detect_cnf_by_literal_choice,
+    detect_singular,
+)
 from repro.detection.stable import detect_stable
-from repro.detection.stoller_schneider import detect_cnf_by_literal_choice
 from repro.detection.symmetric_detect import (
     definitely_symmetric,
     possibly_symmetric,

@@ -50,10 +50,10 @@ class SelectionScan:
     eliminations, each costing O(number of chains) consistency checks.
 
     This is the one serial conjunctive kernel: CPDHB, the CPDSC
-    meta-process scan, the Stoller–Schneider decomposition and the
-    per-rank combination sweeps all run it.  Causality is read straight
-    from the raw clock tuples of the computation's memoized
-    :class:`~repro.perf.causality.CausalityIndex`.
+    meta-process scan and the per-rank combination sweeps (Section 3.3
+    and the Stoller–Schneider decomposition) all run it.  Causality is
+    read straight from the raw clock tuples of the computation's
+    memoized :class:`~repro.perf.causality.CausalityIndex`.
     """
 
     def __init__(

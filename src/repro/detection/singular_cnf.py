@@ -20,9 +20,32 @@ paper's full algorithm menu:
   all chain combinations (at most ``prod c_j`` invocations with
   ``c_j <= |G_j|`` — an exponential reduction whenever chains are fewer
   than processes);
-* :func:`detect_singular` — facade choosing the cheapest applicable engine.
+* :func:`detect_singular` — facade choosing the cheapest applicable engine;
+* :func:`detect_cnf_by_literal_choice` — any CNF, singular or not, by the
+  Stoller–Schneider decomposition the paper's related work cites (its
+  reference [15]): one literal per clause, each choice a conjunctive
+  sub-problem decided by CPDHB.
 
 All engines return a witness cut when the predicate possibly holds.
+
+The three sweeps share one driver, :func:`_detect_by_combinations`: CPDHB
+over every combination of one chain per group.  The literal-choice sweep
+makes each clause a group and each literal a chain (its true events), so
+``possibly(CNF)`` is the OR over the ``prod |C_j|`` literal choices: ⇐ is
+monotone weakening, and ⇒ holds because a witness cut satisfies some
+literal of every clause.  A non-singular CNF can put two chosen literals
+on one process, and the scan needs no merging for that:
+
+* A selection holding ``(p, i)`` and ``(p, j)`` with ``i < j`` always
+  eliminates ``(p, i)``, because ``clk(p, j)[p] = j + 1 > i + 1`` — so
+  only a selection where one event serves both literals is consistent,
+  and such an event is exactly one where both literals hold.
+* A contradictory pair (``x`` and ``not x`` on one process) has no common
+  event, so its combination fails in the scan.
+
+Combinations run in ``itertools.product`` order and the first successful
+one yields its least consistent selection, so verdict and witness do not
+depend on the kernel (batched or per-rank) or on the worker count.
 """
 
 from __future__ import annotations
@@ -53,6 +76,7 @@ __all__ = [
     "detect_special_case",
     "detect_by_process_choice",
     "detect_by_chain_choice",
+    "detect_cnf_by_literal_choice",
     "detect_singular",
 ]
 
@@ -205,10 +229,32 @@ def detect_by_chain_choice(
     )
 
 
+def detect_cnf_by_literal_choice(
+    computation: Computation, predicate: CNFPredicate
+) -> DetectionResult:
+    """Try every one-literal-per-clause choice; CPDHB on each.
+
+    The Stoller–Schneider decomposition.  Works for any CNF, non-singular
+    ones included (see the module docstring for why literals sharing a
+    process need no merging).
+    """
+    index = CausalityIndex.of(computation)
+    per_clause_chains = [
+        [index.literal_true_events(lit) for lit in cl.literals]
+        for cl in predicate.clauses
+    ]
+    return _detect_by_combinations(
+        computation,
+        predicate,
+        per_clause_chains,
+        algorithm="stoller-schneider",
+    )
+
+
 def _detect_by_combinations(
     computation: Computation,
     predicate: CNFPredicate,
-    per_group_chains: Sequence[Sequence[List[EventId]]],
+    per_group_chains: Sequence[Sequence[Sequence[EventId]]],
     algorithm: str,
     parallel: Optional[int] = None,
 ) -> DetectionResult:

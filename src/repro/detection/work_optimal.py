@@ -37,7 +37,7 @@ rank-scanning function of the serial and the pooled drivers.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.computation import Computation
 from repro.detection.garg_waldecker import SelectionScan
@@ -127,14 +127,23 @@ class CombinationSweep:
             self._len.append(lens)
 
     def _decode(self, start: int, stop: int):
-        """Mixed-radix digits of ranks [start, stop) in product order."""
+        """Mixed-radix digits of ranks [start, stop) in product order.
+
+        ``start`` is split into digits as a Python int and the in-block
+        offsets are added with carries, so no array holds a rank: a
+        sweep may have more ranks than an int64 can count.
+        """
         np = self._np
-        ranks = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((ranks.size, self._m), dtype=np.int64)
+        offsets = np.arange(stop - start, dtype=np.int64)
+        carry = np.zeros(offsets.size, dtype=np.int64)
+        digits = np.empty((offsets.size, self._m), dtype=np.int64)
         for j in range(self._m - 1, -1, -1):
             size = max(1, self._group_sizes[j])
-            digits[:, j] = ranks % size
-            ranks = ranks // size
+            start, base = divmod(start, size)
+            column = base + offsets % size + carry
+            digits[:, j] = column % size
+            carry = column // size
+            offsets = offsets // size
         return digits
 
     def scan_block(
@@ -227,7 +236,7 @@ class CombinationSweep:
         return start + first, selection, advances, rounds
 
 
-def rank_chunks(total: int, workers: int = 1) -> List[Tuple[int, int]]:
+def rank_chunks(total: int, workers: int = 1) -> Iterator[Tuple[int, int]]:
     """Contiguous rank chunks covering ``[0, total)``, in rank order.
 
     Batched sweeps use fixed :data:`VEC_CHUNK` blocks whatever the worker
@@ -235,12 +244,16 @@ def rank_chunks(total: int, workers: int = 1) -> List[Tuple[int, int]]:
     report identical ``invocations`` and ``advances``.  Per-rank sweeps
     size chunks for a pool's early cancellation; every per-rank chunk
     stops at its first success, so the counters match either way.
+
+    The chunks are yielded lazily: ``total`` is a product of clause or
+    group widths and can be far too large to list.
     """
     if use_batched_sweep(total):
         chunk = VEC_CHUNK
     else:
         chunk = max(1, min(MAX_CHUNK, math.ceil(total / (workers * 4))))
-    return [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
+    for i in range(0, total, chunk):
+        yield i, min(i + chunk, total)
 
 
 class RankScanner:

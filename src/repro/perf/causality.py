@@ -18,7 +18,7 @@ stored on the computation, by every query against the same computation):
   by the slicer's rounding and :meth:`closure_at_least`;
 * memoized per-literal true-event lists (:meth:`literal_true_events`),
   the one source of the true events CPDHB, the slicer, the
-  Stoller–Schneider decomposition and the clause memos scan;
+  literal-choice sweep and the clause memos scan;
 * memoized per-clause true-event lists and minimum chain covers, keyed
   by the clause's literals rather than the clause object, so the
   process-choice/chain-choice engines and the auto dispatcher stop

@@ -17,8 +17,9 @@ engine's exact semantics:
   the one the serial loop would have found — verdict *and* witness are
   identical by construction.
 * **Early cancellation.**  Once a success is consumed, a shared stop
-  event makes every later chunk return unscanned, and the pool is closed
-  and joined once in-flight chunks finish.  It is never terminated: a
+  event makes every later chunk return unscanned and ends the lazy chunk
+  stream, and the pool is closed and joined once in-flight chunks
+  finish.  It is never terminated: a
   worker killed while it sends a result leaves the result queue's lock
   held, and the pool's shutdown then waits on that lock forever.
 * **Fork-friendly distribution.**  Workers receive the computation via
@@ -37,6 +38,7 @@ is enabled.
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 import os
@@ -166,7 +168,6 @@ def run_combination_search(
     computation,
     per_group_chains: Sequence[Sequence[Sequence[EventId]]],
     workers: int,
-    chunk_bounds: Optional[List[Tuple[int, int]]] = None,
 ) -> Optional[ParallelOutcome]:
     """Sweep all chain combinations over a worker pool.
 
@@ -183,7 +184,6 @@ def run_combination_search(
         # Import numpy and build the clock matrix here, once: forked
         # workers inherit both instead of each importing numpy itself.
         CausalityIndex.of(computation).matrix
-    bounds = chunk_bounds or rank_chunks(total, workers)
     frozen = [
         [list(chain) for chain in chains] for chains in per_group_chains
     ]
@@ -202,12 +202,22 @@ def run_combination_search(
     invocations = 0
     advances = 0
     consumed = 0
+    cancelled = False
     outcome: Optional[ParallelOutcome] = None
     trk = tracker("detect.combinations", total=total)
     try:
-        for rank, selection, chunk_inv, chunk_adv, chunk_metrics in pool.imap(
-            _scan_chunk, bounds
+        # ``imap`` pulls the lazy chunks from its handler thread, which a
+        # closed pool does not stop, so the chunks end at the stop event.
+        # A second, identical ``rank_chunks`` walk pairs each result with
+        # its chunk.
+        chunks = itertools.takewhile(
+            lambda _: not stop.is_set(), rank_chunks(total, workers)
+        )
+        results = pool.imap(_scan_chunk, chunks)
+        for (_, chunk_stop), result in zip(
+            rank_chunks(total, workers), results
         ):
+            rank, selection, chunk_inv, chunk_adv, chunk_metrics = result
             consumed += 1
             invocations += chunk_inv
             advances += chunk_adv
@@ -215,6 +225,7 @@ def run_combination_search(
                 registry().merge_snapshot(chunk_metrics)
             trk.step(chunk_inv)
             if selection is not None:
+                cancelled = chunk_stop < total
                 outcome = ParallelOutcome(
                     selection=[tuple(eid) for eid in selection],
                     rank=rank,
@@ -238,6 +249,6 @@ def run_combination_search(
         reg.gauge("perf.pool.workers").set(workers)
         reg.counter("perf.pool.chunks").inc(outcome.chunks)
         reg.counter("perf.pool.scans").inc(outcome.invocations)
-        if outcome.selection is not None and outcome.chunks < len(bounds):
+        if cancelled:
             reg.counter("perf.pool.early_cancels").inc()
     return outcome

@@ -166,6 +166,11 @@ class _Parser:
         process = self._expect_int()
         if process < 0:
             raise PredicateSyntaxError("process indices are non-negative")
+        if self._num_processes is not None and process >= self._num_processes:
+            raise PredicateSyntaxError(
+                f"process {process} out of range "
+                f"(the computation has {self._num_processes} processes)"
+            )
         return Literal(process, name)
 
     def _sum_atom(self) -> GlobalPredicate:
@@ -264,7 +269,8 @@ def parse_predicate(
     Args:
         text: Predicate in the grammar above.
         num_processes: Required for ``count(...)`` atoms (the symmetric
-            predicate needs to know n).
+            predicate needs to know n).  When given, a literal naming a
+            process outside ``[0, num_processes)`` is a syntax error.
 
     Returns:
         A :class:`CNFPredicate` when the text is a boolean combination of

@@ -137,23 +137,28 @@ def _gen_singular_2cnf(rng: "_random.Random", seed: int) -> Instance:
 
 
 def _gen_general_cnf(rng: "_random.Random", seed: int) -> Instance:
-    n = 3
+    n = rng.randint(3, 4)
     comp = random_computation(
         n,
-        rng.randint(2, 3),
+        rng.randint(2, 4),
         rng.choice([0.3, 0.5]),
         seed=seed,
         variables=_bool_vars(rng),
     )
-    # Two clauses sharing process 0: deliberately non-singular.
+    # 2-5 clauses of width 1-3, literals of both polarities.  Widths lean
+    # to 3 so that about one instance in seven has at least 64 literal
+    # choices, the batched sweep's threshold (VEC_MIN_COMBINATIONS).
+    groups = [
+        rng.sample(range(n), rng.choice((1, 2, 3, 3, 3)))
+        for _ in range(rng.randint(2, 5))
+    ]
+    # The first two clauses share a process: deliberately non-singular.
+    if groups[0][0] not in groups[1]:
+        groups[1][0] = groups[0][0]
     pred = CNFPredicate(
         [
-            Clause(
-                [Literal(0, "x"), Literal(1, "x", rng.random() < 0.5)]
-            ),
-            Clause(
-                [Literal(0, "x", True), Literal(2, "x", rng.random() < 0.5)]
-            ),
+            Clause([Literal(p, "x", rng.random() < 0.5) for p in group])
+            for group in groups
         ]
     )
     return comp, pred, Modality.POSSIBLY

@@ -208,6 +208,21 @@ class TestErrorExitCodes:
         assert captured.err.startswith("repro: bad predicate:")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("modality", ["possibly", "definitely"])
+    def test_predicate_naming_absent_process(
+        self, trace_path, capsys, modality
+    ):
+        # Figure 2 has processes 0..3: process 9 is the predicate's fault,
+        # not the trace's.
+        code = main(
+            ["detect", trace_path, "(x@0 | x@1) & (x@2 | x@9)",
+             "--modality", modality]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("repro: bad predicate: process 9")
+        assert "Traceback" not in captured.err
+
     def test_missing_trace(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "missing.json"), "x@0"])
         captured = capsys.readouterr()

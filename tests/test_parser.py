@@ -126,6 +126,8 @@ class TestErrors:
             "sum v == 1",
             "count(x) in {1",
             "x@-1",
+            "x@4",
+            "x@0 & (x@1 | !x@9)",
             "x@0 & & x@1",
             "x # y",
         ],

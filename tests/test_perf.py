@@ -226,6 +226,17 @@ class TestParallelHelpers:
         assert outcome.invocations == serial.stats["invocations"]
         assert outcome.advances == serial.stats["advances"]
 
+    def test_pool_stops_handing_out_chunks_after_a_success(self, figure2):
+        # 3^40 ranks, first success at rank 242 (the last five groups must
+        # take their third chain): the pool must return once it is found,
+        # not feed every remaining chunk to its workers.
+        per_group = [[[(0, 1)], [], []]] * 35 + [[[], [], [(0, 1)]]] * 5
+        outcome = run_combination_search(figure2, per_group, workers=2)
+        if outcome is None:  # no pool in this sandbox: fallback covered
+            return
+        assert outcome.rank == 242
+        assert outcome.selection == [(0, 1)] * 40
+
     def test_zero_total_short_circuits(self, figure2):
         outcome = run_combination_search(figure2, [[], [[(0, 1)]]], workers=2)
         assert outcome is not None

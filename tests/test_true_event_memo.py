@@ -1,10 +1,10 @@
 """The per-literal true-event memo against per-event reference scans.
 
 :meth:`CausalityIndex.literal_true_events` is the one source of the true
-events CPDHB, the slicer, the Stoller–Schneider decomposition and the
-clause memos read.  On seeded computations — with non-boolean values, a
-variable missing from some events and processes holding only their
-initial event — it must equal :func:`true_events`, and each reader must
+events CPDHB, the slicer, the literal-choice sweep and the clause memos
+read.  On seeded computations — with non-boolean values, a variable
+missing from some events and processes holding only their initial
+event — it must equal :func:`true_events`, and each reader must
 equal the per-event scan it replaced.  The clause memos are keyed by the
 clause's literals, so re-parsed predicates hit them and leave no
 predicate behind.
@@ -20,7 +20,6 @@ import pytest
 
 from repro.computation import Computation
 from repro.detection import detect
-from repro.detection.stoller_schneider import _true_events_for_conjunction
 from repro.perf import CausalityIndex
 from repro.predicates.boolean import clause
 from repro.predicates.conjunctive import conjunctive
@@ -94,10 +93,6 @@ def test_readers_match_per_event_scans(seed):
     rng = random.Random(seed)
     for p in range(n):
         lits = rng.sample(list(literals(n))[6 * p : 6 * p + 6], 2)
-        # Stoller–Schneider: the events where every literal holds.
-        assert list(_true_events_for_conjunction(index, lits)) == scan(
-            comp, p, lambda e: all(lit.holds_after(e) for lit in lits)
-        )
         # Slicer: the indices of the conjunct's true events.
         sl = ConjunctiveSlice(comp, conjunctive(lits[0]))
         assert sl._true_indices[p] == [
