@@ -47,6 +47,7 @@ from workloads import (
     exponential_subset_sum,
     general_cnf_workload,
     random_cnf_workload,
+    serial_rank_walk,
     singular_workload,
     unit_walk_workload,
 )
@@ -64,6 +65,11 @@ from repro.detection import (
     possibly_sum,
     possibly_sum_eq_exact,
     possibly_symmetric,
+    selection_witness,
+)
+from repro.detection.singular_cnf import (
+    chain_choice_table,
+    process_choice_table,
 )
 from repro.monitor import OnlineConjunctiveMonitor
 from repro.perf.clockmatrix import HAVE_NUMPY
@@ -375,84 +381,99 @@ def t_chain(t: Table) -> None:
 
 
 def t_parallel(t: Table) -> None:
+    from repro.perf.parallel import run_combination_search
+
     t.header(
         "T-parallel",
-        "memoized causality index + parallel sweep on the multi-combination "
-        "singular k-CNF tier",
+        "memoized causality index + the worker-pool driver, called "
+        "directly with 4 workers, on the multi-combination singular "
+        "k-CNF tier",
     )
-    t.row("groups", "combos", "serial_ms", "parallel4_ms", "parallel4_speedup")
+    t.row("groups", "combos", "serial_ms", "pool4_ms", "pool4_speedup")
     for m in (6, 7):
         comp, pred = chain_structured_group(
             m, 4, chains_per_group=4, events_per_process=8,
             satisfiable=False,
         )
         serial, ms_serial = t.timed(detect_by_chain_choice, comp, pred)
-        par, ms_par = t.timed(detect_by_chain_choice, comp, pred, parallel=4)
-        assert serial.holds == par.holds == False  # noqa: E712
+        chains = chain_choice_table(comp, pred)
+        pool, ms_pool = t.timed(run_combination_search, comp, chains, 4)
+        assert not serial.holds and pool.selection is None
         assert serial.stats["combinations"] == 4**m
-        assert serial.stats["invocations"] == par.stats["invocations"] == 4**m
-        t.row(m, serial.stats["combinations"], ms_serial, ms_par,
-              ms_serial / ms_par)
-    # Determinism spot check: the parallel driver must return the very
-    # witness the serial loop finds.
+        assert serial.stats["invocations"] == pool.invocations == 4**m
+        t.row(m, serial.stats["combinations"], ms_serial, ms_pool,
+              ms_serial / ms_pool)
+    # Determinism spot check: the pool must return the very witness the
+    # serial loop finds.
     comp, pred = chain_structured_group(
         4, 4, chains_per_group=4, events_per_process=8, satisfiable=True
     )
     serial = detect_by_chain_choice(comp, pred)
-    par = detect_by_chain_choice(comp, pred, parallel=4)
-    assert serial.holds and par.holds
-    assert serial.witness.frontier == par.witness.frontier
+    pool = run_combination_search(comp, chain_choice_table(comp, pred), 4)
+    assert serial.holds and pool.selection is not None
+    assert (
+        serial.witness.frontier
+        == selection_witness(comp, pred, pool.selection).frontier
+    )
     t.row("witness determinism (4 workers)", "ok", "-", "-", "-")
 
 
 def t_workers(t: Table) -> None:
-    import os
+    from repro.perf.parallel import run_combination_search
 
-    cores = len(os.sched_getaffinity(0)) if hasattr(
-        os, "sched_getaffinity"
-    ) else (os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0))
     t.header(
         "T-workers",
-        "worker scaling of the batched combination sweep on the T-chain "
-        f"and T-parallel hot workloads ({cores} core(s) available; "
-        "wall-clock speedup requires spare cores, the verdict and stat "
-        "invariants hold regardless)",
+        "worker scaling of the combination sweep: a serial rank walk, the "
+        "pool driver with 2 and 4 workers, and the engine's own choice "
+        f"(auto; {cores} core(s) available — it forks only for sweeps of "
+        "at least 65,536 ranks, and wall-clock speedup requires spare "
+        "cores, the verdict and stat invariants hold regardless)",
     )
-    t.row("workload", "combos", "w1_ms", "w2_ms", "w4_ms",
-          "speedup_w2", "speedup_w4")
-    workloads = (
+    t.row("workload", "combos", "serial_ms", "w2_ms", "w4_ms", "auto_ms",
+          "auto_workers", "speedup_w2", "speedup_w4", "speedup_auto")
+    workloads = [
         (
-            "process-choice m=8",
+            f"process-choice m={m}",
             chain_structured_group(
-                8, 4, chains_per_group=1, satisfiable=False
+                m, 4, chains_per_group=1, satisfiable=False
             ),
+            process_choice_table,
             detect_by_process_choice,
-        ),
+        )
+        for m in (8, 9)
+    ]
+    workloads.append(
         (
             "chain-choice m=7 c=4",
             chain_structured_group(
                 7, 4, chains_per_group=4, events_per_process=8,
                 satisfiable=False,
             ),
+            chain_choice_table,
             detect_by_chain_choice,
-        ),
+        )
     )
-    for name, (comp, pred), engine in workloads:
-        results, times = {}, {}
-        for workers in (1, 2, 4):
-            parallel = None if workers == 1 else workers
-            results[workers], times[workers] = t.timed(
-                engine, comp, pred, parallel=parallel
+    for name, (comp, pred), table, engine in workloads:
+        chains = table(comp, pred)
+        serial, ms_serial = t.timed(serial_rank_walk, comp, chains)
+        pools, ms_pool = {}, {}
+        for workers in (2, 4):
+            pools[workers], ms_pool[workers] = t.timed(
+                run_combination_search, comp, chains, workers
             )
+        auto, ms_auto = t.timed(engine, comp, pred)
         # Worker count must never change the verdict or the amount of
         # work accounted: the chunk grid is fixed, only ownership moves.
-        assert len({r.holds for r in results.values()}) == 1
-        assert (
-            len({r.stats["invocations"] for r in results.values()}) == 1
-        )
-        t.row(name, results[1].stats["combinations"],
-              times[1], times[2], times[4],
-              times[1] / times[2], times[1] / times[4])
+        _, selection, invocations, _ = serial
+        assert selection is None and not auto.holds
+        assert all(p.selection is None for p in pools.values())
+        assert {p.invocations for p in pools.values()} == {invocations}
+        assert auto.stats["invocations"] == invocations
+        t.row(name, auto.stats["combinations"], ms_serial, ms_pool[2],
+              ms_pool[4], ms_auto, auto.stats["workers"],
+              ms_serial / ms_pool[2], ms_serial / ms_pool[4],
+              ms_serial / ms_auto)
 
 
 def t_slice(t: Table) -> None:

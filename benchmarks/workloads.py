@@ -7,10 +7,12 @@ All workloads are seeded; re-running regenerates identical inputs.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List
 
 from repro.computation import Computation, ComputationBuilder
+from repro.detection.work_optimal import RankScanner, rank_chunks
 from repro.predicates import (
     CNFPredicate,
     ConjunctivePredicate,
@@ -232,3 +234,23 @@ def random_cnf_workload(seed: int):
         for _ in range(7)
     ]
     return comp, CNFPredicate(clauses)
+
+
+def serial_rank_walk(comp: Computation, per_group_chains):
+    """The combination driver's serial sweep, without its pool gate.
+
+    A :class:`~repro.detection.work_optimal.RankScanner` walks every rank
+    chunk in order; returns ``(rank, selection, invocations, advances)``
+    with ``(None, None, ...)`` when no combination succeeds.  The
+    reference the worker-pool experiments and tests compare against.
+    """
+    scanner = RankScanner(comp, per_group_chains)
+    total = math.prod(len(chains) for chains in per_group_chains)
+    invocations = advances = 0
+    for start, stop in rank_chunks(total):
+        rank, selection, inv, adv = scanner.scan(start, stop)
+        invocations += inv
+        advances += adv
+        if selection is not None:
+            return rank, selection, invocations, advances
+    return None, None, invocations, advances

@@ -44,7 +44,7 @@ Examples::
     python -m repro simulate lock-server --variant crash-restart -o mx.json
     python -m repro detect ring.json "cs@1 & cs@3"
     python -m repro detect ring.json "cs@1 & cs@3" --profile
-    python -m repro detect ring.json "(a@0 | a@1) & (b@2 | b@3)" --parallel 4
+    python -m repro detect ring.json "(a@0 | a@1) & (b@2 | b@3)"
     python -m repro detect ring.json "count(token) >= 2" --modality definitely
     python -m repro classify ring.json \
         "lambda cut: cut.value(1, 'cs') and cut.value(3, 'cs')"
@@ -139,7 +139,6 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                 computation,
                 predicate,
                 modality,
-                parallel=args.parallel,
                 engine=args.engine,
                 infer=not args.no_infer,
             )
@@ -935,11 +934,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print the query's span tree and metrics snapshot to stderr",
-    )
-    p_detect.add_argument(
-        "--parallel", type=int, default=None, metavar="N",
-        help="fan combination-sweep engines across N worker processes "
-        "(-1 = one per CPU); verdict and witness are unchanged",
     )
     p_detect.add_argument(
         "--progress", action="store_true",

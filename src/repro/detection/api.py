@@ -104,16 +104,10 @@ def detect(
     computation: Computation,
     predicate: GlobalPredicate,
     modality: Modality = Modality.POSSIBLY,
-    parallel: Optional[int] = None,
     engine: str = "auto",
     infer: bool = True,
 ) -> DetectionResult:
     """Full detection result for the given predicate and modality.
-
-    ``parallel`` fans combination-sweep engines (the singular k-CNF
-    process-/chain-choice drivers) across a worker pool; verdicts and
-    witnesses are identical to the serial runs.  Engines without internal
-    parallelism ignore it.
 
     ``engine`` overrides dispatch: ``"auto"`` (default) picks by
     predicate structure; ``"work-optimal"`` is the strict conjunctive
@@ -150,11 +144,9 @@ def detect(
             result = _work_optimal(computation, predicate, modality, infer)
         else:
             if infer and _is_opaque(predicate):
-                result = _inferred(computation, predicate, modality, parallel)
+                result = _inferred(computation, predicate, modality)
             if result is None and modality is Modality.POSSIBLY:
-                result = _possibly(
-                    computation, predicate, parallel=parallel, infer=infer
-                )
+                result = _possibly(computation, predicate, infer=infer)
             elif result is None:
                 result = _definitely(computation, predicate, infer=infer)
         root.set(engine=result.algorithm, holds=result.holds)
@@ -188,7 +180,6 @@ def _inferred(
     computation: Computation,
     predicate: GlobalPredicate,
     modality: Modality,
-    parallel: Optional[int],
 ) -> Optional[DetectionResult]:
     """Classify an opaque predicate and dispatch its certificate.
 
@@ -217,9 +208,7 @@ def _inferred(
                 target=type(certificate.rewrite).__name__,
             )
             if modality is Modality.POSSIBLY:
-                result = _possibly(
-                    computation, certificate.rewrite, parallel=parallel
-                )
+                result = _possibly(computation, certificate.rewrite)
             else:
                 result = _definitely(computation, certificate.rewrite)
         else:
@@ -280,7 +269,6 @@ def _work_optimal(
 def _possibly(
     computation: Computation,
     predicate: GlobalPredicate,
-    parallel: Optional[int] = None,
     infer: bool = True,
 ) -> DetectionResult:
     if isinstance(predicate, ConjunctivePredicate):
@@ -295,9 +283,7 @@ def _possibly(
                 computation, conjunctive_from_cnf(predicate)
             )
         if predicate.is_singular():
-            return detect_singular(
-                computation, predicate, strategy="auto", parallel=parallel
-            )
+            return detect_singular(computation, predicate, strategy="auto")
         # Non-singular CNF: the Stoller–Schneider decomposition into
         # conjunctive sub-problems (exponential in clauses, but each
         # sub-problem is a linear scan — far cheaper than the lattice).
@@ -311,9 +297,7 @@ def _possibly(
         with span("engine.disjunction", parts=len(predicate.parts)):
             explored = 0
             for part in predicate.parts:
-                result = _possibly(
-                    computation, part, parallel=parallel, infer=infer
-                )
+                result = _possibly(computation, part, infer=infer)
                 explored += int(result.stats.get("cuts_explored", 0))
                 if result.holds:
                     return DetectionResult(

@@ -46,11 +46,18 @@ on one process, and the scan needs no merging for that:
 Combinations run in ``itertools.product`` order and the first successful
 one yields its least consistent selection, so verdict and witness do not
 depend on the kernel (batched or per-rank) or on the worker count.
+
+The driver scans the first rank chunk itself and forks a pool
+(:mod:`repro.perf.parallel`) for the rest only when that chunk failed on
+a large sweep in a multi-core, single-threaded process
+(:func:`_pool_workers`).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from typing import List, Optional, Sequence
 
 from repro.computation import Computation
@@ -61,16 +68,20 @@ from repro.detection.cpdsc import (
 )
 from repro.detection.garg_waldecker import selection_witness
 from repro.detection.result import DetectionResult
-from repro.detection.work_optimal import RankScanner, rank_chunks
+from repro.detection.work_optimal import (
+    POOL_MIN_COMBINATIONS,
+    RankScanner,
+    rank_chunks,
+)
 from repro.events import EventId
-from repro.obs import StatCounters, span
+from repro.obs import STATE, StatCounters, registry, span
 from repro.obs.progress import tracker
 from repro.perf.causality import CausalityIndex
-from repro.perf.parallel import resolve_workers, run_combination_search
 from repro.predicates.boolean import Clause, CNFPredicate
 from repro.predicates.errors import UnsupportedPredicateError
 
 __all__ = [
+    "chain_choice_table",
     "clause_true_events",
     "clause_true_events_on",
     "detect_special_case",
@@ -78,6 +89,7 @@ __all__ = [
     "detect_by_chain_choice",
     "detect_cnf_by_literal_choice",
     "detect_singular",
+    "process_choice_table",
 ]
 
 
@@ -179,32 +191,43 @@ def detect_special_case(
     return _detect_special_given(computation, predicate, groups, variant)
 
 
+def process_choice_table(
+    computation: Computation, predicate: CNFPredicate
+) -> List[List[List[EventId]]]:
+    """Per clause, the clause-true events of each process of its group."""
+    index = CausalityIndex.of(computation)
+    return [
+        [list(index.clause_true_events_on(cl, p)) for p in group]
+        for cl, group in zip(predicate.clauses, _groups(predicate))
+    ]
+
+
+def chain_choice_table(
+    computation: Computation, predicate: CNFPredicate
+) -> List[List[List[EventId]]]:
+    """Per clause, a minimum chain cover of its true events."""
+    _groups(predicate)
+    index = CausalityIndex.of(computation)
+    return [
+        [list(chain) for chain in index.chain_cover(cl)]
+        for cl in predicate.clauses
+    ]
+
+
 def detect_by_process_choice(
-    computation: Computation,
-    predicate: CNFPredicate,
-    parallel: Optional[int] = None,
+    computation: Computation, predicate: CNFPredicate
 ) -> DetectionResult:
     """Try every one-process-per-group choice; CPDHB on each (Section 3.3a)."""
-    groups = _groups(predicate)
-    index = CausalityIndex.of(computation)
-    per_group_chains: List[List[List[EventId]]] = []
-    for cl, group in zip(predicate.clauses, groups):
-        per_group_chains.append(
-            [list(index.clause_true_events_on(cl, p)) for p in group]
-        )
     return _detect_by_combinations(
         computation,
         predicate,
-        per_group_chains,
+        process_choice_table(computation, predicate),
         algorithm="process-choice",
-        parallel=parallel,
     )
 
 
 def detect_by_chain_choice(
-    computation: Computation,
-    predicate: CNFPredicate,
-    parallel: Optional[int] = None,
+    computation: Computation, predicate: CNFPredicate
 ) -> DetectionResult:
     """Try every one-chain-per-group choice; CPDHB on each (Section 3.3b).
 
@@ -214,18 +237,11 @@ def detect_by_chain_choice(
     — never more than the process-choice engine, exponentially fewer when
     groups communicate internally.
     """
-    _groups(predicate)
-    index = CausalityIndex.of(computation)
-    per_group_chains: List[List[List[EventId]]] = [
-        [list(chain) for chain in index.chain_cover(cl)]
-        for cl in predicate.clauses
-    ]
     return _detect_by_combinations(
         computation,
         predicate,
-        per_group_chains,
+        chain_choice_table(computation, predicate),
         algorithm="chain-choice",
-        parallel=parallel,
     )
 
 
@@ -251,22 +267,39 @@ def detect_cnf_by_literal_choice(
     )
 
 
+def _pool_workers(total: int, chunk: int) -> int:
+    """Workers for the ranks after a sweep's first ``chunk``; 1 = serial.
+
+    A pool needs :data:`POOL_MIN_COMBINATIONS` ranks, two usable cores and
+    no other live thread: ``fork`` copies only the calling thread, so a
+    lock another thread holds would stay held in the children.  A sweep
+    refused for live threads counts in ``perf.pool.fallbacks``.
+    """
+    if total < POOL_MIN_COMBINATIONS:
+        return 1
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        return 1
+    if threading.active_count() > 1:
+        if STATE.enabled:
+            registry().counter("perf.pool.fallbacks").inc()
+        return 1
+    return min(cores, math.ceil((total - chunk) / chunk))
+
+
 def _detect_by_combinations(
     computation: Computation,
     predicate: CNFPredicate,
     per_group_chains: Sequence[Sequence[Sequence[EventId]]],
     algorithm: str,
-    parallel: Optional[int] = None,
 ) -> DetectionResult:
     """Shared driver: CPDHB over every combination of one chain per group.
 
-    With ``parallel`` > 1 the combination ranks are fanned across a
-    multiprocessing pool (:mod:`repro.perf.parallel`); verdict and witness
-    are identical to the serial sweep by construction, and the serial loop
-    is the automatic fallback when no pool can be created.
+    Verdict, witness and counters are the serial sweep's whether or not
+    a pool takes over after the first chunk, and the serial loop goes on
+    when no pool can be created.
     """
     total = math.prod(len(chains) for chains in per_group_chains)
-    workers = resolve_workers(parallel, total)
     with span(
         f"engine.{algorithm}",
         groups=len(per_group_chains),
@@ -275,7 +308,7 @@ def _detect_by_combinations(
         index = CausalityIndex.of(computation)
         stats = StatCounters(f"engine.{algorithm}")
         stats.set("combinations", total)
-        stats.set("workers", workers)
+        stats.set("workers", 1)
         stats.inc("invocations", 0)
         stats.inc("advances", 0)
 
@@ -295,22 +328,7 @@ def _detect_by_combinations(
                 stats=stats.as_dict(),
             )
 
-        if total == 0:
-            # Some group has no true event at all: the clause can never hold.
-            return _finish(None)
-
-        if workers > 1:
-            outcome = run_combination_search(
-                computation, per_group_chains, workers
-            )
-            if outcome is not None:
-                stats.inc("invocations", outcome.invocations)
-                stats.inc("advances", outcome.advances)
-                return _finish(outcome.selection)
-            # Pool creation failed (restricted sandbox): serial fallback.
-            stats.set("workers", 1)
-
-        # The same scanner and chunks as the pool's workers: identical
+        # The pool's workers use the same scanner and chunks: identical
         # verdict, witness, invocations and advances.
         scanner = RankScanner(computation, per_group_chains)
         trk = tracker("detect.combinations", total=total)
@@ -321,6 +339,19 @@ def _detect_by_combinations(
             trk.step(invocations)
             if selection is not None:
                 return _finish(selection)
+            if start == 0:
+                workers = _pool_workers(total, stop)
+                if workers > 1:
+                    from repro.perf.parallel import run_combination_search
+
+                    outcome = run_combination_search(
+                        computation, per_group_chains, workers, stop
+                    )
+                    if outcome is not None:
+                        stats.set("workers", workers)
+                        stats.inc("invocations", outcome.invocations)
+                        stats.inc("advances", outcome.advances)
+                        return _finish(outcome.selection)
         trk.finish()
         return _finish(None)
 
@@ -329,18 +360,12 @@ def detect_singular(
     computation: Computation,
     predicate: CNFPredicate,
     strategy: str = "auto",
-    parallel: Optional[int] = None,
 ) -> DetectionResult:
     """Facade for singular k-CNF ``possibly`` detection.
 
     Strategies: ``"auto"`` (polynomial special case when applicable, else
     chain-choice), ``"special"``, ``"process-choice"``, ``"chain-choice"``,
     ``"enumerate"`` (Cooper–Marzullo baseline).
-
-    ``parallel`` fans the combination sweep of the process-choice and
-    chain-choice engines across a worker pool (negative = one worker per
-    CPU); verdicts and witnesses are unchanged.  Ignored by strategies
-    that run no combination sweep.
     """
     if strategy == "auto":
         groups = _groups(predicate)
@@ -352,19 +377,13 @@ def detect_singular(
                 return _detect_special_given(
                     computation, predicate, groups, variant
                 )
-            return detect_by_chain_choice(
-                computation, predicate, parallel=parallel
-            )
+            return detect_by_chain_choice(computation, predicate)
     if strategy == "special":
         return detect_special_case(computation, predicate)
     if strategy == "process-choice":
-        return detect_by_process_choice(
-            computation, predicate, parallel=parallel
-        )
+        return detect_by_process_choice(computation, predicate)
     if strategy == "chain-choice":
-        return detect_by_chain_choice(
-            computation, predicate, parallel=parallel
-        )
+        return detect_by_chain_choice(computation, predicate)
     if strategy == "enumerate":
         return possibly_enumerate(computation, predicate)
     raise ValueError(f"unknown strategy {strategy!r}")

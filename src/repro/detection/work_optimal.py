@@ -45,11 +45,12 @@ from repro.events import EventId
 from repro.obs import span
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import HAVE_NUMPY
-from repro.perf.parallel import combination_at
 
 __all__ = [
     "CombinationSweep",
+    "POOL_MIN_COMBINATIONS",
     "RankScanner",
+    "combination_at",
     "rank_chunks",
     "use_batched_sweep",
     "VEC_MIN_COMBINATIONS",
@@ -60,13 +61,14 @@ __all__ = [
 #: kernel's fixed array overhead; the gate must be a pure function of the
 #: sweep size so serial drivers and pool workers always agree on it.
 VEC_MIN_COMBINATIONS = 64
-#: Ranks per batched block.  Worker-count *independent* (unlike the
-#: per-rank chunking) so a serial sweep and any pool consume identical
+#: Below this many combinations a sweep never forks a worker pool: on two
+#: cores the pool first beats the serial sweep (1.3-1.5x) at 65,536.
+POOL_MIN_COMBINATIONS = 65_536
+#: Ranks per batched block.  Serial sweeps and pools consume identical
 #: blocks — the invocations/advances parity the tests pin down.
 VEC_CHUNK = 4096
-#: Upper bound on ranks per per-rank chunk: small enough for a pool's
-#: early cancellation to bite, large enough to amortize one IPC round
-#: trip over many scans.
+#: Ranks per per-rank chunk: small enough for a pool's early cancellation
+#: to bite, large enough to amortize one IPC round trip over many scans.
 MAX_CHUNK = 64
 
 
@@ -236,23 +238,35 @@ class CombinationSweep:
         return start + first, selection, advances, rounds
 
 
-def rank_chunks(total: int, workers: int = 1) -> Iterator[Tuple[int, int]]:
-    """Contiguous rank chunks covering ``[0, total)``, in rank order.
+def combination_at(
+    per_group_chains: Sequence[Sequence[Sequence[EventId]]], rank: int
+) -> List[Sequence[EventId]]:
+    """The ``rank``-th combination in ``itertools.product`` order.
 
-    Batched sweeps use fixed :data:`VEC_CHUNK` blocks whatever the worker
-    count, so a serial sweep and any pool score identical blocks and
-    report identical ``invocations`` and ``advances``.  Per-rank sweeps
-    size chunks for a pool's early cancellation; every per-rank chunk
-    stops at its first success, so the counters match either way.
+    Mixed-radix decode with the last group as the fastest-varying digit,
+    matching ``itertools.product(*per_group_chains)`` exactly.
+    """
+    combo: List[Sequence[EventId]] = []
+    for chains in reversed(per_group_chains):
+        rank, digit = divmod(rank, len(chains))
+        combo.append(chains[digit])
+    combo.reverse()
+    return combo
+
+
+def rank_chunks(total: int, start: int = 0) -> Iterator[Tuple[int, int]]:
+    """Contiguous rank chunks covering ``[start, total)``, in rank order.
+
+    Chunks are :data:`VEC_CHUNK` ranks for batched sweeps and
+    :data:`MAX_CHUNK` for per-rank ones, so a serial sweep and a pool
+    taking over at a chunk boundary score identical chunks and report
+    identical ``invocations`` and ``advances``.
 
     The chunks are yielded lazily: ``total`` is a product of clause or
     group widths and can be far too large to list.
     """
-    if use_batched_sweep(total):
-        chunk = VEC_CHUNK
-    else:
-        chunk = max(1, min(MAX_CHUNK, math.ceil(total / (workers * 4))))
-    for i in range(0, total, chunk):
+    chunk = VEC_CHUNK if use_batched_sweep(total) else MAX_CHUNK
+    for i in range(start, total, chunk):
         yield i, min(i + chunk, total)
 
 

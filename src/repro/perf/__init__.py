@@ -17,8 +17,9 @@ Three pieces, layered under :mod:`repro.detection`:
 This package deliberately does **not** import ``repro.perf.parallel``
 here: that module depends on :mod:`repro.detection` (for the CPDHB scan)
 and importing it at package level would cycle through the detection
-engines, which themselves import the causality index.  Import it
-explicitly as ``from repro.perf.parallel import run_combination_search``.
+engines, which themselves import the causality index.  The combination
+driver imports it only when it forks, as
+``from repro.perf.parallel import run_combination_search``.
 
 Cache behaviour is observable through the ``perf.*`` metrics documented
 in ``docs/OBSERVABILITY.md``.

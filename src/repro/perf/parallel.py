@@ -2,7 +2,8 @@
 
 The process-choice and chain-choice engines pay for NP-hardness with
 ``prod c_j`` *independent* CPDHB scans — an embarrassingly parallel sweep
-that the serial driver walks chunk by chunk.  This module fans the same
+that the serial driver walks chunk by chunk.  When the driver hands a
+large sweep over after its first chunk, this module fans the remaining
 contiguous rank chunks across a ``multiprocessing`` pool, and each worker
 scores them with the serial driver's
 :class:`~repro.detection.work_optimal.RankScanner`, preserving the serial
@@ -29,7 +30,7 @@ engine's exact semantics:
 
 If a pool cannot be created (sandboxes without process spawning,
 interpreter shutdown), :func:`run_combination_search` returns ``None``
-and the caller falls back to the serial loop — behaviour, again,
+and the caller goes on with the serial loop — behaviour, again,
 identical.
 
 Pool telemetry lands in the ``perf.pool.*`` metrics when observability
@@ -41,7 +42,6 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -52,12 +52,7 @@ from repro.obs.progress import PROGRESS, tracker
 from repro.obs.spans import take_roots
 from repro.perf.causality import CausalityIndex
 
-__all__ = [
-    "ParallelOutcome",
-    "combination_at",
-    "resolve_workers",
-    "run_combination_search",
-]
+__all__ = ["ParallelOutcome", "run_combination_search"]
 
 @dataclass(frozen=True)
 class ParallelOutcome:
@@ -69,35 +64,6 @@ class ParallelOutcome:
     advances: int  #: eliminations across all executed scans
     workers: int  #: pool size used
     chunks: int  #: chunks consumed before returning
-
-
-def resolve_workers(parallel: Optional[int], total: int) -> int:
-    """Effective worker count for a sweep of ``total`` combinations.
-
-    ``None``, ``0`` and ``1`` mean serial; a negative value means "one
-    worker per available CPU".  The result is clamped to ``total`` — more
-    workers than combinations would only fork idle processes.
-    """
-    if parallel is None or parallel == 0 or parallel == 1:
-        return 1
-    workers = os.cpu_count() or 1 if parallel < 0 else parallel
-    return max(1, min(workers, total))
-
-
-def combination_at(
-    per_group_chains: Sequence[Sequence[Sequence[EventId]]], rank: int
-) -> List[Sequence[EventId]]:
-    """The ``rank``-th combination in ``itertools.product`` order.
-
-    Mixed-radix decode with the last group as the fastest-varying digit,
-    matching ``itertools.product(*per_group_chains)`` exactly.
-    """
-    combo: List[Sequence[EventId]] = []
-    for chains in reversed(per_group_chains):
-        rank, digit = divmod(rank, len(chains))
-        combo.append(chains[digit])
-    combo.reverse()
-    return combo
 
 
 # ----------------------------------------------------------------------
@@ -168,15 +134,18 @@ def run_combination_search(
     computation,
     per_group_chains: Sequence[Sequence[Sequence[EventId]]],
     workers: int,
+    start: int = 0,
 ) -> Optional[ParallelOutcome]:
-    """Sweep all chain combinations over a worker pool.
+    """Sweep the chain combinations from rank ``start`` on over a pool.
 
-    Returns the :class:`ParallelOutcome` (selection ``None`` when no
-    combination admits a consistent selection), or ``None`` when no pool
-    could be created — the caller must then run the serial sweep.
+    ``start`` must be a :func:`~repro.detection.work_optimal.rank_chunks`
+    boundary.  Returns the :class:`ParallelOutcome` (selection ``None``
+    when no combination admits a consistent selection; counters cover
+    the ranks from ``start`` on), or ``None`` when no pool could be
+    created — the caller must then scan those ranks itself.
     """
     total = math.prod(len(chains) for chains in per_group_chains)
-    if total == 0:
+    if total <= start:
         return ParallelOutcome(None, None, 0, 0, workers, 0)
     from repro.detection.work_optimal import rank_chunks, use_batched_sweep
 
@@ -205,17 +174,18 @@ def run_combination_search(
     cancelled = False
     outcome: Optional[ParallelOutcome] = None
     trk = tracker("detect.combinations", total=total)
+    trk.step(start)
     try:
         # ``imap`` pulls the lazy chunks from its handler thread, which a
         # closed pool does not stop, so the chunks end at the stop event.
         # A second, identical ``rank_chunks`` walk pairs each result with
         # its chunk.
         chunks = itertools.takewhile(
-            lambda _: not stop.is_set(), rank_chunks(total, workers)
+            lambda _: not stop.is_set(), rank_chunks(total, start)
         )
         results = pool.imap(_scan_chunk, chunks)
         for (_, chunk_stop), result in zip(
-            rank_chunks(total, workers), results
+            rank_chunks(total, start), results
         ):
             rank, selection, chunk_inv, chunk_adv, chunk_metrics = result
             consumed += 1

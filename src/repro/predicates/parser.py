@@ -163,15 +163,15 @@ class _Parser:
         if name == "inflight":
             return self._inflight_atom()
         self._expect("@")
-        process = self._expect_int()
-        if process < 0:
-            raise PredicateSyntaxError("process indices are non-negative")
-        if self._num_processes is not None and process >= self._num_processes:
-            raise PredicateSyntaxError(
-                f"process {process} out of range "
-                f"(the computation has {self._num_processes} processes)"
-            )
-        return Literal(process, name)
+        return Literal(self._process(), name)
+
+    def _process(self) -> int:
+        """A process index, range-checked against the computation."""
+        process, n = self._expect_int(), self._num_processes
+        if process < 0 or (n is not None and process >= n):
+            has = "" if n is None else f" (the computation has {n} processes)"
+            raise PredicateSyntaxError(f"process {process} out of range{has}")
+        return process
 
     def _sum_atom(self) -> GlobalPredicate:
         self._expect("(")
@@ -187,7 +187,7 @@ class _Parser:
         source = None
         if self._peek() == "(":
             self._next()
-            source = self._expect_int()
+            source = self._process()
             self._expect(")")
         relop = Relop.from_symbol(self._next())
         constant = self._expect_int()

@@ -3,7 +3,7 @@ which ground truth.
 
 The library has three verdict-producing layers — the detection engines, the
 SAT reductions, and the brute-force oracles — plus fast-path variants
-(memoized indices, ``parallel=N`` sweeps) that must all agree.  This module
+(memoized indices, worker-pool sweeps) that must all agree.  This module
 makes the agreement obligation *data*: every predicate class maps to the
 full set of applicable engines and to one exponential ground-truth oracle.
 
@@ -417,6 +417,22 @@ def _build_default() -> OracleRegistry:
             wave = nxt_wave
         return run_cpdhb(comp, pred)
 
+    def run_chain_choice_parallel2(
+        comp: Computation, pred: GlobalPredicate
+    ) -> bool:
+        """Chain choice on a two-worker pool, called directly: the driver
+        forks only for sweeps far larger than fuzz instances."""
+        from repro.detection.singular_cnf import chain_choice_table
+        from repro.perf.parallel import run_combination_search
+
+        cnf = as_cnf(pred)
+        outcome = run_combination_search(
+            comp, chain_choice_table(comp, cnf), 2
+        )
+        if outcome is None:  # no pool could be created here
+            return detect_by_chain_choice(comp, cnf).holds
+        return outcome.selection is not None
+
     for engine in [
         EngineSpec("cpdhb", P, run_cpdhb),
         EngineSpec("slice", P, run_slice),
@@ -447,9 +463,7 @@ def _build_default() -> OracleRegistry:
         EngineSpec(
             "chain-choice-parallel2",
             P,
-            lambda c, p: detect_by_chain_choice(
-                c, as_cnf(p), parallel=2
-            ).holds,
+            run_chain_choice_parallel2,
             applies=_has_cnf_view,
         ),
         EngineSpec(
@@ -525,9 +539,7 @@ def _build_default() -> OracleRegistry:
             lambda c, p: detect_by_process_choice(c, p).holds,
         ),
         EngineSpec(
-            "chain-choice-parallel2",
-            P,
-            lambda c, p: detect_by_chain_choice(c, p, parallel=2).holds,
+            "chain-choice-parallel2", P, run_chain_choice_parallel2
         ),
         EngineSpec(
             "literal-choice",

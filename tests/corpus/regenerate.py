@@ -328,7 +328,7 @@ def main() -> None:
 
     # 7. A 2-CNF where the chain-choice sweep has >= 2 combinations AND the
     #    first one fails (invocations >= 2): the witness lives in a later
-    #    combination, so the parallel=2 partitioning of the sweep must
+    #    combination, so the two-worker pool's partitioning of the sweep must
     #    reach the same verdict as the serial order.
     def parallel_sweep(c: Computation, p: GlobalPredicate) -> bool:
         if not cnf_2x2(c, p):

@@ -223,6 +223,29 @@ class TestErrorExitCodes:
         assert captured.err.startswith("repro: bad predicate: process 9")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("modality", ["possibly", "definitely"])
+    @pytest.mark.parametrize("sender", ["5", "-1"])
+    def test_inflight_naming_absent_sender(
+        self, trace_path, capsys, modality, sender
+    ):
+        code = main(
+            ["detect", trace_path, f"inflight({sender}) == 0",
+             "--modality", modality]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            f"repro: bad predicate: process {sender} out of range"
+        )
+        assert "Traceback" not in captured.err
+
+    def test_parallel_option_is_gone(self, trace_path, capsys):
+        # The combination driver picks its own worker count.
+        with pytest.raises(SystemExit) as exc:
+            main(["detect", trace_path, "x@0", "--parallel", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --parallel" in capsys.readouterr().err
+
     def test_missing_trace(self, tmp_path, capsys):
         code = main(["detect", str(tmp_path / "missing.json"), "x@0"])
         captured = capsys.readouterr()

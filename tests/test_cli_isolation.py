@@ -1,7 +1,9 @@
 """A ``repro detect`` run imports no subsystem it does not use.
 
 The CLI maps the lint, monitor, service and simulation error classes to
-exit codes without importing those packages.  Each check runs in a fresh
+exit codes without importing those packages, and a combination sweep
+imports the worker pool (and ``multiprocessing``) only when it forks,
+which a small sweep never does.  Each check runs in a fresh
 interpreter, because ``sys.modules`` of the test process already holds
 whatever earlier tests imported.
 """
@@ -19,7 +21,14 @@ import pytest
 from repro.trace import BoolVar, dump_computation, random_computation
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
-SUBSYSTEMS = ["repro.analysis", "repro.monitor", "repro.service", "repro.simulation"]
+SUBSYSTEMS = [
+    "repro.analysis",
+    "repro.monitor",
+    "repro.service",
+    "repro.simulation",
+    "repro.perf.parallel",
+    "multiprocessing",
+]
 
 DETECT = """
 import contextlib, io, json, sys
@@ -27,22 +36,22 @@ from repro.cli import main
 
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-    code = main(["--no-runs-ledger", "detect", sys.argv[1], "x@0 & x@1"])
+    code = main(["--no-runs-ledger", "detect", sys.argv[1], sys.argv[2]])
 print(json.dumps({
     "code": code,
     "stderr": err.getvalue(),
-    "loaded": sorted(m for m in sys.argv[2:] if m in sys.modules),
+    "loaded": sorted(m for m in sys.argv[3:] if m in sys.modules),
 }))
 """
 
 
-def run_detect(trace: str) -> dict:
+def run_detect(trace: str, predicate: str = "x@0 & x@1") -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [SRC, *filter(None, [env.get("PYTHONPATH")])]
     )
     result = subprocess.run(
-        [sys.executable, "-c", DETECT, trace, *SUBSYSTEMS],
+        [sys.executable, "-c", DETECT, trace, predicate, *SUBSYSTEMS],
         capture_output=True,
         text=True,
         env=env,
@@ -57,6 +66,20 @@ def test_detect_leaves_subsystems_out(tmp_path):
     comp = random_computation(3, 6, 0.4, seed=2, variables=[BoolVar("x")])
     dump_computation(comp, trace)
     out = run_detect(str(trace))
+    assert out["code"] in (0, 1)
+    assert out["loaded"] == []
+
+
+@pytest.mark.parametrize(
+    "predicate",
+    ["(x@0 | x@1) & (x@1 | x@2)", "(x@0 | x@1) & (x@2 | !x@0)"],
+)
+def test_small_combination_sweep_loads_no_pool(tmp_path, predicate):
+    # Non-singular CNFs: both run the literal-choice combination sweep.
+    trace = tmp_path / "t.json"
+    comp = random_computation(3, 6, 0.4, seed=2, variables=[BoolVar("x")])
+    dump_computation(comp, trace)
+    out = run_detect(str(trace), predicate)
     assert out["code"] in (0, 1)
     assert out["loaded"] == []
 

@@ -16,9 +16,12 @@ from repro.detection import (
     possibly_enumerate,
     selection_witness,
 )
+from repro.detection.singular_cnf import chain_choice_table
+from repro.perf.parallel import run_combination_search
 from repro.predicates import clause, conjunctive, local, singular_cnf
 from repro.predicates.local import true_events
 from repro.trace import BoolVar, random_computation
+from workloads import serial_rank_walk
 
 random_comp = st.builds(
     random_computation,
@@ -88,15 +91,20 @@ class TestSelectionScanProperties:
             clause(local(0, "x"), local(1, "x")),
             clause(local(2, "x"), local(3, "x")),
         )
-        serial = detect_singular(comp, pred, strategy="chain-choice")
-        parallel = detect_singular(
-            comp, pred, strategy="chain-choice", parallel=2
+        chains = chain_choice_table(comp, pred)
+        rank, selection, invocations, advances = serial_rank_walk(
+            comp, chains
         )
-        assert parallel.holds == serial.holds
-        assert parallel.stats["invocations"] == serial.stats["invocations"]
-        assert parallel.stats["advances"] == serial.stats["advances"]
-        if serial.holds:
-            assert parallel.witness.frontier == serial.witness.frontier
+        for workers in (2, 4):
+            outcome = run_combination_search(comp, chains, workers)
+            assert outcome is not None, "no worker pool could be created"
+            assert outcome.rank == rank
+            assert outcome.selection == selection
+            assert outcome.invocations == invocations
+            assert outcome.advances == advances
+        serial = detect_singular(comp, pred, strategy="chain-choice")
+        assert serial.holds == (selection is not None)
+        assert serial.stats["invocations"] == invocations
 
 
 class TestSelectionWitness:

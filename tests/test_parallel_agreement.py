@@ -1,21 +1,25 @@
-"""Property test: the parallel combination sweep never changes verdicts.
+"""Property test: the worker-pool combination sweep never changes verdicts.
 
-For seeded sweeps of singular 2-CNF instances, ``detect_singular`` with
-``parallel=2`` must agree with the serial engine run against a warmed
-:class:`~repro.perf.causality.CausalityIndex` (the memoized fast path),
-and both must agree with the brute-force oracle.
+The detection driver forks a pool only for sweeps of at least 65,536
+ranks, so these tests call the pool driver,
+:func:`~repro.perf.parallel.run_combination_search`, directly on small
+singular 2-CNF instances.  At 2 and 4 workers its verdict, witness
+selection, ``invocations`` and ``advances`` must equal a serial
+:class:`~repro.detection.work_optimal.RankScanner` walk of the same
+chunks, and the verdict must equal the brute-force oracle.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.perf import CausalityIndex
 from repro.detection import detect_singular
+from repro.detection.singular_cnf import chain_choice_table
+from repro.perf.parallel import run_combination_search
 from repro.predicates import CNFPredicate, Clause, Literal
 from repro.testkit.oracles import brute_possibly
 from repro.trace import BoolVar, grouped_computation
-from workloads import chain_structured_group
+from workloads import chain_structured_group, serial_rank_walk
 
 PRED = CNFPredicate(
     [
@@ -23,6 +27,23 @@ PRED = CNFPredicate(
         Clause([Literal(2, "x"), Literal(3, "x")]),
     ]
 )
+
+
+def _pooled(comp, chains, workers):
+    outcome = run_combination_search(comp, chains, workers)
+    assert outcome is not None, "no worker pool could be created"
+    assert outcome.workers == workers
+    return outcome
+
+
+def _assert_matches_serial(outcome, serial):
+    rank, selection, invocations, advances = serial
+    assert outcome.rank == rank
+    assert outcome.selection == (
+        None if selection is None else [tuple(e) for e in selection]
+    )
+    assert outcome.invocations == invocations
+    assert outcome.advances == advances
 
 
 @pytest.mark.parametrize("seed", range(25))
@@ -37,13 +58,14 @@ def test_parallel2_and_indexed_serial_match_oracle(seed, ordering):
         variables=[BoolVar("x", 0.4)],
         ordering=ordering,
     )
-    CausalityIndex.of(comp)  # warm the memoized index for the serial run
-    serial = detect_singular(comp, PRED, "chain-choice").holds
-    fanned = detect_singular(comp, PRED, "chain-choice", parallel=2).holds
+    chains = chain_choice_table(comp, PRED)
+    serial = serial_rank_walk(comp, chains)
+    outcome = _pooled(comp, chains, 2)
+    _assert_matches_serial(outcome, serial)
     oracle = brute_possibly(comp, PRED.evaluate) is not None
-    assert serial == fanned == oracle, (
+    assert (outcome.selection is not None) == oracle, (
         f"seed={seed} ordering={ordering}: "
-        f"serial={serial} parallel2={fanned} oracle={oracle}"
+        f"pool2={outcome.selection} oracle={oracle}"
     )
 
 
@@ -51,22 +73,20 @@ def test_parallel2_and_indexed_serial_match_oracle(seed, ordering):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_parallel4_matches_serial_witness(seed, satisfiable):
     """At 4 workers verdict, witness and scan counts equal the serial
-    sweep's: chunks are consumed in rank order."""
+    walk's: chunks are consumed in rank order."""
     comp, pred = chain_structured_group(
         3, 4, chains_per_group=3, events_per_process=6,
         seed=seed, satisfiable=satisfiable,
     )
-    serial = detect_singular(comp, pred, "chain-choice")
-    parallel = detect_singular(comp, pred, "chain-choice", parallel=4)
-    assert parallel.holds == serial.holds == satisfiable
-    assert parallel.stats["invocations"] == serial.stats["invocations"]
-    assert parallel.stats["advances"] == serial.stats["advances"]
-    if satisfiable:
-        assert parallel.witness.frontier == serial.witness.frontier
+    chains = chain_choice_table(comp, pred)
+    serial = serial_rank_walk(comp, chains)
+    outcome = _pooled(comp, chains, 4)
+    _assert_matches_serial(outcome, serial)
+    assert (outcome.selection is not None) == satisfiable
 
 
 class TestParallelMetricsParity:
-    """The parallel sweep must report the same work the serial sweep does.
+    """The pool must report the same work the serial sweep does.
 
     Worker processes snapshot their registries per chunk and the driver
     merges them, so counters and the `scan.cpdhb` span histogram agree
@@ -90,17 +110,18 @@ class TestParallelMetricsParity:
         from repro import obs
 
         comp = self._instance()
-        CausalityIndex.of(comp)
+        chains = chain_choice_table(comp, PRED)
         with obs.Capture() as cap:
             serial = detect_singular(comp, PRED, "chain-choice")
         serial_snap = cap.registry.snapshot()
         with obs.Capture() as cap2:
-            fanned = detect_singular(comp, PRED, "chain-choice", parallel=2)
+            outcome = _pooled(comp, chains, 2)
         par_snap = cap2.registry.snapshot()
         assert serial.holds is False, "parity needs a full (miss) sweep"
-        assert fanned.holds is False
-        assert serial.stats["invocations"] == fanned.stats["invocations"]
-        assert serial.stats["advances"] == fanned.stats["advances"]
+        assert outcome.selection is None
+        assert serial.stats["invocations"] == outcome.invocations
+        assert serial.stats["advances"] == outcome.advances
         serial_scans = serial_snap["histograms"]["span.scan.cpdhb.ms"]["count"]
         par_scans = par_snap["histograms"]["span.scan.cpdhb.ms"]["count"]
         assert serial_scans == par_scans == serial.stats["invocations"]
+        assert par_snap["gauges"]["perf.pool.workers"] == 2

@@ -130,6 +130,8 @@ class TestErrors:
             "x@0 & (x@1 | !x@9)",
             "x@0 & & x@1",
             "x # y",
+            "inflight(4) == 0",
+            "inflight(-1) == 0",
         ],
     )
     def test_rejected(self, text):

@@ -9,28 +9,37 @@ serial sweep's verdict, witness, and scan counts.
 from __future__ import annotations
 
 import gc
+import os
 import pickle
+import threading
 import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.computation import count_consistent_cuts, iter_consistent_cuts
+from repro.computation import (
+    ComputationBuilder,
+    count_consistent_cuts,
+    iter_consistent_cuts,
+)
 from repro.detection import (
+    detect,
+    detect_cnf_by_literal_choice,
     detect_conjunctive,
     detect_singular,
     possibly_enumerate,
 )
+from repro.detection.work_optimal import POOL_MIN_COMBINATIONS, combination_at
 from repro.obs import Capture
+from repro.obs.progress import progress_context
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
-from repro.perf.parallel import (
-    combination_at,
-    resolve_workers,
-    run_combination_search,
-)
+from repro.perf.parallel import run_combination_search
 from repro.predicates import (
+    CNFPredicate,
+    Clause,
     ConstantPredicate,
+    Literal,
     clause,
     conjunctive,
     local,
@@ -178,15 +187,133 @@ class TestLatticeWalkRetention:
             gc.enable()
 
 
-class TestParallelHelpers:
-    def test_resolve_workers(self):
-        assert resolve_workers(None, 100) == 1
-        assert resolve_workers(0, 100) == 1
-        assert resolve_workers(1, 100) == 1
-        assert resolve_workers(4, 100) == 4
-        assert resolve_workers(4, 2) == 2  # clamped to the sweep size
-        assert resolve_workers(-1, 100) >= 1
+def _literal_sweep(clauses, flipped):
+    """A ``2**clauses``-rank literal-choice sweep with one success.
 
+    Clause ``p`` is ``x@p | y@p`` on process ``p`` (``y@p | x@p`` for the
+    first ``flipped`` clauses), and ``y`` never holds, so the only
+    succeeding rank picks every ``x``: ``(2**flipped - 1) *
+    2**(clauses - flipped)``.
+    """
+    builder = ComputationBuilder(clauses)
+    for p in range(clauses):
+        builder.init_values(p, x=False, y=False)
+        builder.internal(p, x=True)
+    literals = [(Literal(p, "x"), Literal(p, "y")) for p in range(clauses)]
+    pred = CNFPredicate(
+        [
+            Clause(list(reversed(pair)) if p < flipped else list(pair))
+            for p, pair in enumerate(literals)
+        ]
+    )
+    return builder.build(), pred
+
+
+def _cores(monkeypatch, count):
+    monkeypatch.setattr(
+        os, "sched_getaffinity", lambda pid: set(range(count))
+    )
+
+
+def _pool_snapshot(comp, pred):
+    with Capture() as cap:
+        result = detect_cnf_by_literal_choice(comp, pred)
+    return result, cap.registry.snapshot()
+
+
+class TestPoolGate:
+    """The combination driver chooses its own worker count: a pool only
+    after a failed first chunk of a sweep of at least
+    ``POOL_MIN_COMBINATIONS`` ranks, with two usable cores and no other
+    live thread — and never a different verdict or counter."""
+
+    def _serial(self, monkeypatch, comp, pred):
+        _cores(monkeypatch, 1)
+        result = detect_cnf_by_literal_choice(comp, pred)
+        assert result.stats["workers"] == 1
+        return result
+
+    def test_small_sweep_stays_serial(self, monkeypatch):
+        comp, pred = _literal_sweep(15, 3)
+        assert 2**15 < POOL_MIN_COMBINATIONS
+        _cores(monkeypatch, 2)
+        result, snap = _pool_snapshot(comp, pred)
+        assert result.holds
+        assert result.stats["workers"] == 1
+        assert "perf.pool.workers" not in snap["gauges"]
+
+    def test_large_sweep_forks_after_failed_first_chunk(self, monkeypatch):
+        comp, pred = _literal_sweep(16, 3)
+        assert 2**16 == POOL_MIN_COMBINATIONS
+        serial = self._serial(monkeypatch, comp, pred)
+        assert threading.active_count() == 1, threading.enumerate()
+        _cores(monkeypatch, 2)
+        events = []
+        with progress_context(sink=events.append, interval_s=0.0):
+            pooled, snap = _pool_snapshot(comp, pred)
+        done = [e.done for e in events if e.name == "detect.combinations"]
+        assert done == sorted(done)
+        assert done[-1] == pooled.stats["invocations"]
+        assert pooled.stats["workers"] == 2
+        assert snap["gauges"]["perf.pool.workers"] == 2
+        assert pooled.holds and serial.holds
+        assert pooled.witness.frontier == serial.witness.frontier
+        for key in ("combinations", "invocations", "advances"):
+            assert pooled.stats[key] == serial.stats[key], key
+
+    def test_live_thread_keeps_the_sweep_serial(self, monkeypatch):
+        comp, pred = _literal_sweep(16, 3)
+        serial = self._serial(monkeypatch, comp, pred)
+        _cores(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result, snap = _pool_snapshot(comp, pred)
+        finally:
+            release.set()
+            thread.join()
+        assert result.stats["workers"] == 1
+        assert snap["counters"]["perf.pool.fallbacks"] == 1
+        assert "perf.pool.workers" not in snap["gauges"]
+        assert result.stats == serial.stats
+        assert result.witness.frontier == serial.witness.frontier
+
+    def test_first_chunk_success_creates_no_pool(self, monkeypatch):
+        comp, pred = _literal_sweep(16, 0)
+        _cores(monkeypatch, 2)
+        result, snap = _pool_snapshot(comp, pred)
+        assert result.holds
+        assert result.stats["workers"] == 1
+        assert result.stats["invocations"] <= 4096
+        assert "perf.pool.workers" not in snap["gauges"]
+
+    def test_detect_routes_big_non_singular_sweeps_through_the_gate(
+        self, monkeypatch
+    ):
+        # 30 clauses of three literals on one process: 3**30 literal
+        # choices, the first of which holds.
+        builder = ComputationBuilder(1)
+        names = [f"v{j}" for j in range(90)]
+        builder.init_values(0, **{name: False for name in names})
+        builder.internal(0, **{name: True for name in names})
+        pred = CNFPredicate(
+            [
+                Clause([Literal(0, name) for name in names[j : j + 3]])
+                for j in range(0, 90, 3)
+            ]
+        )
+        _cores(monkeypatch, 2)
+        with Capture() as cap:
+            result = detect(builder.build(), pred)
+        assert result.holds
+        assert result.algorithm == "stoller-schneider"
+        assert result.stats["combinations"] == 3**30
+        assert result.stats["workers"] == 1
+        assert "perf.pool.workers" not in cap.registry.snapshot()["gauges"]
+
+
+class TestParallelHelpers:
     def test_combination_at_matches_product_order(self):
         import itertools
 

@@ -19,10 +19,9 @@ from repro.detection.singular_cnf import (
     clause_true_events,
     clause_true_events_on,
 )
-from repro.detection.work_optimal import CombinationSweep
+from repro.detection.work_optimal import CombinationSweep, combination_at
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
-from repro.perf.parallel import combination_at
 from repro.predicates import (
     NotSingularError,
     clause,

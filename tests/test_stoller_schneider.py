@@ -18,7 +18,7 @@ from repro.detection.work_optimal import (
     RankScanner,
     use_batched_sweep,
 )
-from repro.perf.parallel import combination_at
+from repro.detection.work_optimal import combination_at
 from repro.predicates import clause, cnf, local
 from repro.predicates.local import true_events
 from repro.reductions import possibly_via_sat

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.computation import initial_cut
@@ -139,6 +142,42 @@ class TestRosters:
         spec = registry.get_class("c")
         assert len(spec.engines) == 1
         assert spec.engines[0].run(None, None) is False
+
+
+def _matrix_rows():
+    """``{class: (possibly, definitely)}`` from docs/TESTING.md's table;
+    each side a list of ``(engine, is_oracle)``."""
+    doc = Path(__file__).resolve().parents[1] / "docs" / "TESTING.md"
+    rows = {}
+    for line in doc.read_text().splitlines():
+        match = re.fullmatch(r"\| `([\w-]+)` \|[^|]*\|([^|]*)\|([^|]*)\|", line)
+        if match is None:
+            continue
+
+        def engines(cell):
+            cell = cell.strip()
+            if cell == "—":
+                return []
+            out = []
+            for item in cell.split(", "):
+                item = re.sub(r" \(.*\)$", "", item)
+                bold = item.startswith("**")
+                out.append((item.strip("*"), bold))
+            return out
+
+        rows[match.group(1)] = (engines(match.group(2)), engines(match.group(3)))
+    return rows
+
+
+def test_testing_doc_matrix_matches_registry():
+    registry = default_registry()
+    rows = _matrix_rows()
+    assert list(rows) == registry.class_names
+    for name in registry.class_names:
+        spec = registry.get_class(name)
+        for modality, listed in zip((P, D), rows[name]):
+            actual = [(e.name, e.is_oracle) for e in spec.engines_for(modality)]
+            assert listed == actual, f"{name} {modality.value}"
 
 
 class TestAdapters:
