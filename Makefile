@@ -25,7 +25,7 @@ fuzz:
 bench:
 	mkdir -p .repro
 	PYTHONPATH=src $(PYTHON) benchmarks/report.py \
-		F1-conj F1-sing-general T-chain T-parallel T-classify \
+		F1-conj F1-sing-general T-chain T-search T-classify \
 		--json .repro/BENCH_current.json --ledger .repro/runs.jsonl \
 		--baseline benchmarks/BENCH_baseline.json
 

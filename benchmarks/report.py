@@ -46,8 +46,8 @@ from workloads import (
     conjunctive_workload,
     exponential_subset_sum,
     general_cnf_workload,
+    last_group_conflict,
     random_cnf_workload,
-    serial_rank_walk,
     singular_workload,
     unit_walk_workload,
 )
@@ -65,11 +65,6 @@ from repro.detection import (
     possibly_sum,
     possibly_sum_eq_exact,
     possibly_symmetric,
-    selection_witness,
-)
-from repro.detection.singular_cnf import (
-    chain_choice_table,
-    process_choice_table,
 )
 from repro.monitor import OnlineConjunctiveMonitor
 from repro.perf.clockmatrix import HAVE_NUMPY
@@ -205,7 +200,7 @@ def f1_general_cnf(t: Table) -> None:
     t.header(
         "F1-general-cnf",
         "non-singular CNF: one literal choice per clause, one combination "
-        "sweep (Stoller–Schneider)",
+        "search (Stoller–Schneider)",
     )
     t.row("instance", "clauses", "combinations", "invocations", "holds",
           "time_ms")
@@ -380,100 +375,36 @@ def t_chain(t: Table) -> None:
                       f"{combos[1] / combos[0]:.0f}x", ms_chain, ms_proc)
 
 
-def t_parallel(t: Table) -> None:
-    from repro.perf.parallel import run_combination_search
-
+def t_search(t: Table) -> None:
     t.header(
-        "T-parallel",
-        "memoized causality index + the worker-pool driver, called "
-        "directly with 4 workers, on the multi-combination singular "
-        "k-CNF tier",
+        "T-search",
+        "the Section 3.3 combination search on the families that defeat "
+        "a rank sweep or prefix pruning alone",
     )
-    t.row("groups", "combos", "serial_ms", "pool4_ms", "pool4_speedup")
-    for m in (6, 7):
-        comp, pred = chain_structured_group(
-            m, 4, chains_per_group=4, events_per_process=8,
-            satisfiable=False,
-        )
-        serial, ms_serial = t.timed(detect_by_chain_choice, comp, pred)
-        chains = chain_choice_table(comp, pred)
-        pool, ms_pool = t.timed(run_combination_search, comp, chains, 4)
-        assert not serial.holds and pool.selection is None
-        assert serial.stats["combinations"] == 4**m
-        assert serial.stats["invocations"] == pool.invocations == 4**m
-        t.row(m, serial.stats["combinations"], ms_serial, ms_pool,
-              ms_serial / ms_pool)
-    # Determinism spot check: the pool must return the very witness the
-    # serial loop finds.
-    comp, pred = chain_structured_group(
-        4, 4, chains_per_group=4, events_per_process=8, satisfiable=True
+    t.row("workload", "combinations", "holds", "nodes", "pair_checks",
+          "time_ms")
+    # Only the last group conflicts (with group 0): pruning prefixes alone
+    # would explore every choice for the other groups first.
+    for m in (6, 8):
+        comp, pred = last_group_conflict(m)
+        result, ms = t.timed(detect_by_process_choice, comp, pred)
+        assert not result.holds
+        assert result.stats["combinations"] == 4**m
+        t.row(f"last-group conflict m={m}", result.stats["combinations"],
+              result.holds, result.stats["invocations"],
+              result.stats["pair_checks"], ms)
+    # An unsatisfiable Figure 3 gadget of 2^42 chain combinations, far
+    # past any rank sweep; DPLL is the referee.
+    formula, _ = to_nonmonotone_3cnf(random_3cnf(5, 30, seed=0))
+    assert dpll_solve(formula) is None
+    instance = satisfiability_to_detection(formula)
+    result, ms = t.timed(
+        detect_by_chain_choice, instance.computation, instance.predicate
     )
-    serial = detect_by_chain_choice(comp, pred)
-    pool = run_combination_search(comp, chain_choice_table(comp, pred), 4)
-    assert serial.holds and pool.selection is not None
-    assert (
-        serial.witness.frontier
-        == selection_witness(comp, pred, pool.selection).frontier
-    )
-    t.row("witness determinism (4 workers)", "ok", "-", "-", "-")
-
-
-def t_workers(t: Table) -> None:
-    from repro.perf.parallel import run_combination_search
-
-    cores = len(os.sched_getaffinity(0))
-    t.header(
-        "T-workers",
-        "worker scaling of the combination sweep: a serial rank walk, the "
-        "pool driver with 2 and 4 workers, and the engine's own choice "
-        f"(auto; {cores} core(s) available — it forks only for sweeps of "
-        "at least 65,536 ranks, and wall-clock speedup requires spare "
-        "cores, the verdict and stat invariants hold regardless)",
-    )
-    t.row("workload", "combos", "serial_ms", "w2_ms", "w4_ms", "auto_ms",
-          "auto_workers", "speedup_w2", "speedup_w4", "speedup_auto")
-    workloads = [
-        (
-            f"process-choice m={m}",
-            chain_structured_group(
-                m, 4, chains_per_group=1, satisfiable=False
-            ),
-            process_choice_table,
-            detect_by_process_choice,
-        )
-        for m in (8, 9)
-    ]
-    workloads.append(
-        (
-            "chain-choice m=7 c=4",
-            chain_structured_group(
-                7, 4, chains_per_group=4, events_per_process=8,
-                satisfiable=False,
-            ),
-            chain_choice_table,
-            detect_by_chain_choice,
-        )
-    )
-    for name, (comp, pred), table, engine in workloads:
-        chains = table(comp, pred)
-        serial, ms_serial = t.timed(serial_rank_walk, comp, chains)
-        pools, ms_pool = {}, {}
-        for workers in (2, 4):
-            pools[workers], ms_pool[workers] = t.timed(
-                run_combination_search, comp, chains, workers
-            )
-        auto, ms_auto = t.timed(engine, comp, pred)
-        # Worker count must never change the verdict or the amount of
-        # work accounted: the chunk grid is fixed, only ownership moves.
-        _, selection, invocations, _ = serial
-        assert selection is None and not auto.holds
-        assert all(p.selection is None for p in pools.values())
-        assert {p.invocations for p in pools.values()} == {invocations}
-        assert auto.stats["invocations"] == invocations
-        t.row(name, auto.stats["combinations"], ms_serial, ms_pool[2],
-              ms_pool[4], ms_auto, auto.stats["workers"],
-              ms_serial / ms_pool[2], ms_serial / ms_pool[4],
-              ms_serial / ms_auto)
+    assert not result.holds
+    assert result.stats["combinations"] == 2**42
+    t.row("unsatisfiable Fig. 3 gadget", "2^42", result.holds,
+          result.stats["invocations"], result.stats["pair_checks"], ms)
 
 
 def t_slice(t: Table) -> None:
@@ -685,8 +616,7 @@ EXPERIMENTS: Dict[str, Callable[[Table], None]] = {
     "T-sym": t_sym,
     "T-lattice": t_lattice,
     "T-chain": t_chain,
-    "T-parallel": t_parallel,
-    "T-workers": t_workers,
+    "T-search": t_search,
     "T-slice": t_slice,
     "T-definitely": t_definitely,
     "T-online": t_online,

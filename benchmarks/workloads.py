@@ -7,12 +7,10 @@ All workloads are seeded; re-running regenerates identical inputs.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import List
 
 from repro.computation import Computation, ComputationBuilder
-from repro.detection.work_optimal import RankScanner, rank_chunks
 from repro.predicates import (
     CNFPredicate,
     ConjunctivePredicate,
@@ -133,9 +131,10 @@ def chain_structured_group(
     With ``satisfiable=False`` consecutive groups are sequentialized
     through extra *false* barrier events — every true event of group g has
     its successor happen-before every true event of group g+1, so no
-    pairwise-consistent selection exists and both engines must exhaust
-    their full combination sweep before refuting (the worst case the
-    exponents describe).
+    pairwise-consistent selection exists: a walk of the ranks must score
+    every combination before refuting (the worst case the exponents
+    describe), while the search's forward checking refutes at the first
+    group.
     """
     if chains_per_group > group_size:
         raise ValueError("cannot have more chains than processes")
@@ -236,21 +235,32 @@ def random_cnf_workload(seed: int):
     return comp, CNFPredicate(clauses)
 
 
-def serial_rank_walk(comp: Computation, per_group_chains):
-    """The combination driver's serial sweep, without its pool gate.
+def last_group_conflict(num_groups: int, group_size: int = 4):
+    """Concurrent groups, except that the last conflicts with group 0.
 
-    A :class:`~repro.detection.work_optimal.RankScanner` walks every rank
-    chunk in order; returns ``(rank, selection, invocations, advances)``
-    with ``(None, None, ...)`` when no combination succeeds.  The
-    reference the worker-pool experiments and tests compare against.
+    Every process holds one true event.  Each process of group 0 then
+    sends a *false* message to every process of the last group, which
+    receives them all before its true event, so no true event of group 0
+    is consistent with one of the last group and every one of the
+    ``group_size ** num_groups`` process choices fails — but only at the
+    last group.  Pruning prefixes alone explores every choice for groups
+    ``0..num_groups - 2``; forward checking refutes at the first group.
     """
-    scanner = RankScanner(comp, per_group_chains)
-    total = math.prod(len(chains) for chains in per_group_chains)
-    invocations = advances = 0
-    for start, stop in rank_chunks(total):
-        rank, selection, inv, adv = scanner.scan(start, stop)
-        invocations += inv
-        advances += adv
-        if selection is not None:
-            return rank, selection, invocations, advances
-    return None, None, invocations, advances
+    n = num_groups * group_size
+    builder = ComputationBuilder(n)
+    for p in range(n):
+        builder.init_values(p, x=False)
+    first = range(group_size)
+    last = range(n - group_size, n)
+    for p in range(n - group_size):
+        builder.internal(p, x=True)
+    sends = {p: [builder.send(p, x=False) for _ in last] for p in first}
+    for q_index, q in enumerate(last):
+        for p in first:
+            builder.message(sends[p][q_index], builder.receive(q, x=False))
+        builder.internal(q, x=True)
+    clauses = [
+        clause(*(local(g * group_size + i, "x") for i in range(group_size)))
+        for g in range(num_groups)
+    ]
+    return builder.build(), CNFPredicate(clauses)

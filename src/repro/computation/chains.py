@@ -22,13 +22,20 @@ This module implements:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.computation.computation import Computation
+from repro.computation.errors import UnknownEventError
 from repro.events import EventId
 
-__all__ = ["HopcroftKarp", "minimum_chain_cover", "greedy_chain_cover"]
+__all__ = [
+    "HopcroftKarp",
+    "minimum_chain_cover",
+    "greedy_chain_cover",
+    "successor_lists",
+]
 
 _INF = float("inf")
 
@@ -95,6 +102,59 @@ class HopcroftKarp:
         return False
 
 
+def successor_lists(
+    computation: Computation, events: Sequence[EventId]
+) -> List[List[int]]:
+    """Fulkerson's graph: ``adjacency[i]`` lists, in increasing order, the
+    positions ``j`` of the events with ``events[i]`` happened-before
+    ``events[j]``.
+
+    Read from the raw clock rows: an initial event precedes every
+    non-initial one, and ``(p, i)`` with ``i >= 1`` precedes ``(q, j)``
+    with ``j >= 1`` iff ``clk(q, j)[p] > i``.  That component never
+    decreases along process ``q``, so ``events[i]``'s successors on ``q``
+    are a suffix of ``q``'s non-initial events, found by binary search.
+
+    Raises:
+        UnknownEventError: If an event is not in the computation.
+    """
+    for eid in events:
+        if not computation.has_event(eid):
+            raise UnknownEventError(eid)
+    clk = computation._clk
+    rows: Dict[int, List[Tuple[int, int]]] = {}
+    for pos, (q, j) in enumerate(events):
+        if j:
+            rows.setdefault(q, []).append((j, pos))
+    processes: List[Tuple[int, List[int], List[int]]] = []
+    for q in sorted(rows):
+        ordered = sorted(rows[q])
+        processes.append(
+            (q, [j for j, _ in ordered], [pos for _, pos in ordered])
+        )
+    # columns[(q, p)]: clk(q, j)[p] over q's non-initial events, by j.
+    columns: Dict[Tuple[int, int], List[int]] = {}
+    adjacency: List[List[int]] = []
+    for i, (p, ei) in enumerate(events):
+        successors: List[int] = []
+        for q, indices, positions in processes:
+            if ei:
+                column = columns.get((q, p))
+                if column is None:
+                    column = columns[(q, p)] = [
+                        clk[q][j][p] for j in indices
+                    ]
+                successors.extend(positions[bisect_right(column, ei):])
+            else:
+                successors.extend(positions)
+        successors.sort()
+        if ei:
+            # clk(p, ei)[p] = ei + 1: the event itself passed the search.
+            successors.remove(i)
+        adjacency.append(successors)
+    return adjacency
+
+
 def minimum_chain_cover(
     computation: Computation, event_ids: Iterable[EventId]
 ) -> List[List[EventId]]:
@@ -102,20 +162,21 @@ def minimum_chain_cover(
 
     Each returned chain is sorted by happened-before (which is a total order
     within a chain).  Uses Fulkerson's construction: build the bipartite
-    graph with an edge (u, v) whenever ``u`` happened-before ``v``; a maximum
-    matching of size m yields a partition into ``len(events) - m`` chains by
-    following matched successor pointers.
+    graph with an edge (u, v) whenever ``u`` happened-before ``v``
+    (:func:`successor_lists`); a maximum matching of size m yields a
+    partition into ``len(events) - m`` chains by following matched
+    successor pointers.
+
+    Raises:
+        UnknownEventError: If an event is not in the computation.
+        AssertionError: If the chains do not cover the events — a broken
+            matching.  Raised explicitly, so ``python -O`` keeps it.
     """
     events = list(dict.fromkeys(event_ids))  # dedupe, keep order
     n = len(events)
     if n == 0:
         return []
-    index = {eid: i for i, eid in enumerate(events)}
-    adjacency: List[List[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(events):
-        for j, f in enumerate(events):
-            if i != j and computation.happened_before(e, f):
-                adjacency[i].append(j)
+    adjacency = successor_lists(computation, events)
     matcher = HopcroftKarp(n, n, adjacency)
     matcher.solve()
 
@@ -135,7 +196,11 @@ def minimum_chain_cover(
             u = matcher.match_left[u]
             chain.append(events[u])
         chains.append(chain)
-    assert sum(len(c) for c in chains) == n
+    covered = sum(len(c) for c in chains)
+    if covered != n:
+        raise AssertionError(
+            f"chain cover holds {covered} of {n} events"
+        )
     return chains
 
 

@@ -23,23 +23,97 @@ current one.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.computation import Computation, Cut, least_consistent_cut
 from repro.detection.result import DetectionResult
 from repro.events import EventId
 from repro.obs import StatCounters, span
-from repro.obs.progress import tracker
+from repro.obs.progress import NOOP_TRACKER, tracker
 from repro.perf.causality import CausalityIndex
 from repro.predicates.base import GlobalPredicate
 from repro.predicates.conjunctive import ConjunctivePredicate
 
 __all__ = [
+    "eliminate",
     "find_consistent_selection",
     "detect_conjunctive",
     "selection_witness",
     "SelectionScan",
 ]
+
+
+def eliminate(
+    clk: Sequence[Sequence[Sequence[int]]],
+    lengths: Sequence[int],
+    chains: Sequence[Sequence[EventId]],
+    cursor: List[int],
+    pending: Iterable[int],
+    trk=NOOP_TRACKER,
+) -> Tuple[bool, int, int]:
+    """Advance ``cursor`` to the least consistent selection at or above it.
+
+    The one elimination kernel.  ``chains`` are non-empty causal chains,
+    ``cursor[i]`` the candidate position on chain ``i``, and ``pending``
+    the chains whose candidate must still be checked against all others;
+    every pair of the rest must already be checked (a fresh scan passes
+    every chain, a prefix extended by one chain passes just the new one).
+    Each elimination is sound — the eliminated event pairs with nothing
+    at or after the other candidate — so a cursor that starts at or below
+    the least consistent selection never passes it, and the scan stops
+    exactly there.
+
+    For a non-initial event ``e' = (p, i)`` with ``i >= 1``,
+    ``leq(e', f)`` reduces to ``f`` being non-initial with
+    ``clk(f)[p] > i`` (the component counts the events of ``p`` in
+    ``f``'s causal past, including the initial one, so same-process
+    equality is covered too).  Both elimination tests only ever apply
+    ``leq`` to local successors, which are non-initial by construction.
+
+    Returns ``(consistent, advances, comparisons)``; ``cursor`` holds the
+    selection when consistent, and is partly advanced otherwise.
+    """
+    m = len(chains)
+    # Chains whose candidate changed and must be re-checked against all.
+    queue = deque(pending)
+    queued = [False] * m
+    for i in queue:
+        queued[i] = True
+    advances = 0
+    comparisons = 0
+    while queue:
+        trk.step()
+        i = queue.popleft()
+        queued[i] = False
+        ep, ei = chains[i][cursor[i]]
+        ei1 = ei + 1
+        e_last = ei1 >= lengths[ep]
+        for j in range(m):
+            if j == i:
+                continue
+            fp, fi = chains[j][cursor[j]]
+            comparisons += 1
+            if not e_last and fi and clk[fp][fi][ep] > ei1:
+                # succ(e) -> f: e pairs with nothing at or after f.
+                advances += 1
+                cursor[i] += 1
+                if cursor[i] >= len(chains[i]):
+                    return False, advances, comparisons
+                if not queued[i]:
+                    queue.append(i)
+                    queued[i] = True
+                break
+            fi1 = fi + 1
+            if fi1 < lengths[fp] and ei and clk[ep][ei][fp] > fi1:
+                # succ(f) -> e: eliminate f symmetrically.
+                advances += 1
+                cursor[j] += 1
+                if cursor[j] >= len(chains[j]):
+                    return False, advances, comparisons
+                if not queued[j]:
+                    queue.append(j)
+                    queued[j] = True
+    return True, advances, comparisons
 
 
 class SelectionScan:
@@ -49,11 +123,11 @@ class SelectionScan:
     benchmarks; the scan performs at most ``sum of chain lengths``
     eliminations, each costing O(number of chains) consistency checks.
 
-    This is the one serial conjunctive kernel: CPDHB, the CPDSC
-    meta-process scan and the per-rank combination sweeps (Section 3.3
-    and the Stoller–Schneider decomposition) all run it.  Causality is
-    read straight from the raw clock tuples of the computation's
-    memoized :class:`~repro.perf.causality.CausalityIndex`.
+    A fresh run of :func:`eliminate`, the one conjunctive kernel: CPDHB,
+    the CPDSC meta-process scan and the Section 3.3 combination search
+    (which resumes it prefix by prefix) all run it.  Causality is read
+    straight from the raw clock tuples of the computation's memoized
+    :class:`~repro.perf.causality.CausalityIndex`.
     """
 
     def __init__(
@@ -67,68 +141,24 @@ class SelectionScan:
         self.comparisons = 0
 
     def run(self) -> Optional[List[EventId]]:
-        """Return the least pairwise-consistent selection, or None.
-
-        For a non-initial event ``e' = (p, i)`` with ``i >= 1``,
-        ``leq(e', f)`` reduces to ``f`` being non-initial with
-        ``clk(f)[p] > i`` (the component counts the events of ``p`` in
-        ``f``'s causal past, including the initial one, so same-process
-        equality is covered too).  Both elimination tests only ever apply
-        ``leq`` to local successors, which are non-initial by construction.
-        """
+        """Return the least pairwise-consistent selection, or None."""
         chains = self._chains
         m = len(chains)
         if m == 0:
             return []
         if any(not chain for chain in chains):
             return None
-        clk = self._index._clk
-        lengths = self._index._lengths
         cursor = [0] * m
-        # Chains whose candidate changed and must be re-checked against all.
-        pending: deque[int] = deque(range(m))
-        queued = [True] * m
-        advances = 0
-        comparisons = 0
-        trk = tracker("detect.scan", check_every=512)
-        while pending:
-            trk.step()
-            i = pending.popleft()
-            queued[i] = False
-            ep, ei = chains[i][cursor[i]]
-            ei1 = ei + 1
-            e_last = ei1 >= lengths[ep]
-            for j in range(m):
-                if j == i:
-                    continue
-                fp, fi = chains[j][cursor[j]]
-                comparisons += 1
-                if not e_last and fi and clk[fp][fi][ep] > ei1:
-                    # succ(e) -> f: e pairs with nothing at or after f.
-                    advances += 1
-                    cursor[i] += 1
-                    if cursor[i] >= len(chains[i]):
-                        self.advances = advances
-                        self.comparisons = comparisons
-                        return None
-                    if not queued[i]:
-                        pending.append(i)
-                        queued[i] = True
-                    break
-                fi1 = fi + 1
-                if fi1 < lengths[fp] and ei and clk[ep][ei][fp] > fi1:
-                    # succ(f) -> e: eliminate f symmetrically.
-                    advances += 1
-                    cursor[j] += 1
-                    if cursor[j] >= len(chains[j]):
-                        self.advances = advances
-                        self.comparisons = comparisons
-                        return None
-                    if not queued[j]:
-                        pending.append(j)
-                        queued[j] = True
-        self.advances = advances
-        self.comparisons = comparisons
+        consistent, self.advances, self.comparisons = eliminate(
+            self._index._clk,
+            self._index._lengths,
+            chains,
+            cursor,
+            range(m),
+            tracker("detect.scan", check_every=512),
+        )
+        if not consistent:
+            return None
         return [chains[i][cursor[i]] for i in range(m)]
 
 

@@ -28,13 +28,13 @@ paper's full algorithm menu:
 
 All engines return a witness cut when the predicate possibly holds.
 
-The three sweeps share one driver, :func:`_detect_by_combinations`: CPDHB
-over every combination of one chain per group.  The literal-choice sweep
-makes each clause a group and each literal a chain (its true events), so
-``possibly(CNF)`` is the OR over the ``prod |C_j|`` literal choices: ⇐ is
-monotone weakening, and ⇒ holds because a witness cut satisfies some
-literal of every clause.  A non-singular CNF can put two chosen literals
-on one process, and the scan needs no merging for that:
+The three engines share one driver, :func:`_detect_by_combinations`:
+CPDHB over the combinations of one chain per group.  The literal-choice
+engine makes each clause a group and each literal a chain (its true
+events), so ``possibly(CNF)`` is the OR over the ``prod |C_j|`` literal
+choices: ⇐ is monotone weakening, and ⇒ holds because a witness cut
+satisfies some literal of every clause.  A non-singular CNF can put two
+chosen literals on one process, and the scan needs no merging for that:
 
 * A selection holding ``(p, i)`` and ``(p, j)`` with ``i < j`` always
   eliminates ``(p, i)``, because ``clk(p, j)[p] = j + 1 > i + 1`` — so
@@ -43,22 +43,40 @@ on one process, and the scan needs no merging for that:
 * A contradictory pair (``x`` and ``not x`` on one process) has no common
   event, so its combination fails in the scan.
 
-Combinations run in ``itertools.product`` order and the first successful
-one yields its least consistent selection, so verdict and witness do not
-depend on the kernel (batched or per-rank) or on the worker count.
+The driver does not score combinations one by one: Theorem 1 makes the
+problem NP-complete, and :func:`search_combinations` decides it by
+depth-first search over the groups in ``itertools.product`` order, and
+returns the first combination with a consistent selection together with
+that combination's *least* consistent selection.  Two prunings keep that
+answer the one an exhaustive walk of the ranks would give:
 
-The driver scans the first rank chunk itself and forks a pool
-(:mod:`repro.perf.parallel`) for the rest only when that chunk failed on
-a large sweep in a multi-core, single-threaded process
-(:func:`_pool_workers`).
+* *Prefix extension.*  The search keeps the least consistent selection
+  of the chosen prefix and extends it with the next group's chain by
+  resuming the elimination from the prefix's cursors.  Every consistent
+  selection of the longer system restricted to the prefix is consistent
+  for the prefix, so the prefix's least fixpoint is dominated by the
+  full system's, and the resumed scan, whose eliminations are sound,
+  stops exactly at the full system's least fixpoint.  A prefix with no
+  consistent selection has no consistent extension: its subtree holds
+  no success.
+* *Forward checking* (Haralick & Elliott).  A chain that a two-chain
+  scan finds incompatible with a chosen chain belongs to no consistent
+  selection containing that choice, so dropping it from a later group's
+  domain removes only failing combinations, and a node with an emptied
+  domain has no success below it.
+
+The leaves are therefore reached in product order with only failures
+skipped, the first success is the lowest-ranked one, and verdict and
+witness equal those of a rank-by-rank walk
+(:func:`repro.testkit.oracles.rank_walk` is that referee).  The worst
+case stays exponential: chains compatible in pairs but not three at a
+time defeat forward checking.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from typing import List, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.computation import Computation
 from repro.detection.cooper_marzullo import possibly_enumerate
@@ -66,16 +84,11 @@ from repro.detection.cpdsc import (
     detect_receive_ordered,
     detect_send_ordered,
 )
-from repro.detection.garg_waldecker import selection_witness
+from repro.detection.garg_waldecker import eliminate, selection_witness
 from repro.detection.result import DetectionResult
-from repro.detection.work_optimal import (
-    POOL_MIN_COMBINATIONS,
-    RankScanner,
-    rank_chunks,
-)
 from repro.events import EventId
-from repro.obs import STATE, StatCounters, registry, span
-from repro.obs.progress import tracker
+from repro.obs import StatCounters, span
+from repro.obs.progress import NOOP_TRACKER, tracker
 from repro.perf.causality import CausalityIndex
 from repro.predicates.boolean import Clause, CNFPredicate
 from repro.predicates.errors import UnsupportedPredicateError
@@ -89,7 +102,10 @@ __all__ = [
     "detect_by_chain_choice",
     "detect_cnf_by_literal_choice",
     "detect_singular",
+    "literal_choice_table",
     "process_choice_table",
+    "search_combinations",
+    "SearchOutcome",
 ]
 
 
@@ -214,6 +230,17 @@ def chain_choice_table(
     ]
 
 
+def literal_choice_table(
+    computation: Computation, predicate: CNFPredicate
+) -> List[List[Sequence[EventId]]]:
+    """Per clause, the memoized true events of each literal (any CNF)."""
+    index = CausalityIndex.of(computation)
+    return [
+        [index.literal_true_events(lit) for lit in cl.literals]
+        for cl in predicate.clauses
+    ]
+
+
 def detect_by_process_choice(
     computation: Computation, predicate: CNFPredicate
 ) -> DetectionResult:
@@ -254,37 +281,143 @@ def detect_cnf_by_literal_choice(
     ones included (see the module docstring for why literals sharing a
     process need no merging).
     """
-    index = CausalityIndex.of(computation)
-    per_clause_chains = [
-        [index.literal_true_events(lit) for lit in cl.literals]
-        for cl in predicate.clauses
-    ]
     return _detect_by_combinations(
         computation,
         predicate,
-        per_clause_chains,
+        literal_choice_table(computation, predicate),
         algorithm="stoller-schneider",
     )
 
 
-def _pool_workers(total: int, chunk: int) -> int:
-    """Workers for the ranks after a sweep's first ``chunk``; 1 = serial.
+class SearchOutcome(NamedTuple):
+    """What :func:`search_combinations` found, and the work it did."""
 
-    A pool needs :data:`POOL_MIN_COMBINATIONS` ranks, two usable cores and
-    no other live thread: ``fork`` copies only the calling thread, so a
-    lock another thread holds would stay held in the children.  A sweep
-    refused for live threads counts in ``perf.pool.fallbacks``.
+    selection: Optional[List[EventId]]  #: least consistent selection, or None
+    rank: Optional[int]  #: its combination's rank in product order, or None
+    nodes: int  #: prefix extensions, one resumed elimination each
+    advances: int  #: cursor moves, pair scans included
+    pair_checks: int  #: two-chain compatibility scans (memo misses)
+
+
+def search_combinations(
+    computation: Computation,
+    per_group_chains: Sequence[Sequence[Sequence[EventId]]],
+    trk=NOOP_TRACKER,
+) -> SearchOutcome:
+    """First combination, in ``itertools.product`` order, with a
+    consistent selection, by depth-first search with forward checking.
+
+    Group ``k``'s chain extends the prefix's least consistent selection
+    (:func:`~repro.detection.garg_waldecker.eliminate` resumed from the
+    prefix's cursors), and a prefix with none skips its subtree.  Each
+    choice then drops from every later group's domain the chains that a
+    memoized two-chain scan finds incompatible with it, and a node whose
+    later domain empties fails.  Both prunings cut only failing
+    combinations, so the first leaf reached is the lowest-ranked
+    success (see the module docstring).  ``trk`` counts the ranks
+    settled so far.
     """
-    if total < POOL_MIN_COMBINATIONS:
-        return 1
-    cores = len(os.sched_getaffinity(0))
-    if cores < 2:
-        return 1
-    if threading.active_count() > 1:
-        if STATE.enabled:
-            registry().counter("perf.pool.fallbacks").inc()
-        return 1
-    return min(cores, math.ceil((total - chunk) / chunk))
+    index = CausalityIndex.of(computation)
+    clk, lengths = index._clk, index._lengths
+    m = len(per_group_chains)
+    if m == 0:
+        return SearchOutcome([], 0, 0, 0, 0)
+    sizes = [len(chains) for chains in per_group_chains]
+    # suffix[k]: the ranks under one choice at depth k.
+    suffix = [1] * m
+    for k in range(m - 2, -1, -1):
+        suffix[k] = suffix[k + 1] * sizes[k + 1]
+    # Pair verdicts are memoized per pair of distinct chains, whichever
+    # groups hold them: a literal's chain recurs in every clause naming it.
+    chain_ids: Dict[Sequence[EventId], int] = {}
+    ids = [
+        [chain_ids.setdefault(tuple(chain), len(chain_ids)) for chain in chains]
+        for chains in per_group_chains
+    ]
+    width = len(chain_ids)
+    nodes = advances = pair_checks = settled = 0
+    # Per depth k: the domains of groups k..m-1, the next domain position,
+    # the prefix's cursors and the rank of the prefix's choices.
+    domains = [[[c for c, chain in enumerate(chains) if chain]
+                 for chains in per_group_chains]]
+    if not all(domains[0]):
+        trk.step(suffix[0] * sizes[0])
+        return SearchOutcome(None, None, 0, 0, 0)
+    positions = [0]
+    cursors: List[List[int]] = [[]]
+    prefix_ranks = [0]
+    chosen: List[Sequence[EventId]] = []
+    compatible: Dict[int, bool] = {}
+    while positions:
+        k = len(positions) - 1
+        doms = domains[k]
+        pos = positions[k]
+        if pos == len(doms[0]):
+            if k:
+                # Depth k - 1's choice has failed: its ranks are settled.
+                done = (prefix_ranks[k] + 1) * suffix[k - 1]
+                trk.step(done - settled)
+                settled = done
+                chosen.pop()
+            positions.pop()
+            domains.pop()
+            cursors.pop()
+            prefix_ranks.pop()
+            continue
+        positions[k] = pos + 1
+        c = doms[0][pos]
+        chain = per_group_chains[k][c]
+        chosen.append(chain)
+        cursor = cursors[k] + [0]
+        nodes += 1
+        consistent, moved, _ = eliminate(clk, lengths, chosen, cursor, (k,))
+        advances += moved
+        if consistent and k == m - 1:
+            return SearchOutcome(
+                [chosen[i][cursor[i]] for i in range(m)],
+                prefix_ranks[k] * sizes[k] + c,
+                nodes,
+                advances,
+                pair_checks,
+            )
+        later: List[List[int]] = []
+        if consistent:
+            a = ids[k][c]
+            for h in range(k + 1, m):
+                kept = []
+                for d in doms[h - k]:
+                    b = ids[h][d]
+                    key = a * width + b if a < b else b * width + a
+                    ok = compatible.get(key)
+                    if ok is None:
+                        pair_checks += 1
+                        ok, moved, _ = eliminate(
+                            clk,
+                            lengths,
+                            (chain, per_group_chains[h][d]),
+                            [0, 0],
+                            (0,),
+                        )
+                        advances += moved
+                        compatible[key] = ok
+                    if ok:
+                        kept.append(d)
+                if not kept:
+                    consistent = False
+                    break
+                later.append(kept)
+        if consistent:
+            positions.append(0)
+            domains.append(later)
+            cursors.append(cursor)
+            prefix_ranks.append(prefix_ranks[k] * sizes[k] + c)
+            continue
+        chosen.pop()
+        done = (prefix_ranks[k] * sizes[k] + c + 1) * suffix[k]
+        trk.step(done - settled)
+        settled = done
+    trk.step(suffix[0] * sizes[0] - settled)
+    return SearchOutcome(None, None, nodes, advances, pair_checks)
 
 
 def _detect_by_combinations(
@@ -293,12 +426,8 @@ def _detect_by_combinations(
     per_group_chains: Sequence[Sequence[Sequence[EventId]]],
     algorithm: str,
 ) -> DetectionResult:
-    """Shared driver: CPDHB over every combination of one chain per group.
-
-    Verdict, witness and counters are the serial sweep's whether or not
-    a pool takes over after the first chunk, and the serial loop goes on
-    when no pool can be created.
-    """
+    """Shared driver: CPDHB over the combinations of one chain per group,
+    decided by :func:`search_combinations`."""
     total = math.prod(len(chains) for chains in per_group_chains)
     with span(
         f"engine.{algorithm}",
@@ -306,54 +435,27 @@ def _detect_by_combinations(
         combinations=total,
     ) as sp:
         index = CausalityIndex.of(computation)
+        trk = tracker("detect.combinations", total=total)
+        outcome = search_combinations(computation, per_group_chains, trk)
         stats = StatCounters(f"engine.{algorithm}")
         stats.set("combinations", total)
-        stats.set("workers", 1)
-        stats.inc("invocations", 0)
-        stats.inc("advances", 0)
-
-        def _finish(
-            selection: Optional[Sequence[EventId]],
-        ) -> DetectionResult:
-            sp.set(holds=selection is not None)
-            index.maybe_flush_metrics()
-            if selection is None:
-                return DetectionResult(
-                    holds=False, algorithm=algorithm, stats=stats.as_dict()
-                )
+        stats.inc("invocations", outcome.nodes)
+        stats.inc("advances", outcome.advances)
+        stats.inc("pair_checks", outcome.pair_checks)
+        selection = outcome.selection
+        sp.set(nodes=outcome.nodes, holds=selection is not None)
+        index.maybe_flush_metrics()
+        if selection is None:
+            trk.finish()
             return DetectionResult(
-                holds=True,
-                witness=selection_witness(computation, predicate, selection),
-                algorithm=algorithm,
-                stats=stats.as_dict(),
+                holds=False, algorithm=algorithm, stats=stats.as_dict()
             )
-
-        # The pool's workers use the same scanner and chunks: identical
-        # verdict, witness, invocations and advances.
-        scanner = RankScanner(computation, per_group_chains)
-        trk = tracker("detect.combinations", total=total)
-        for start, stop in rank_chunks(total):
-            _, selection, invocations, advances = scanner.scan(start, stop)
-            stats.inc("invocations", invocations)
-            stats.inc("advances", advances)
-            trk.step(invocations)
-            if selection is not None:
-                return _finish(selection)
-            if start == 0:
-                workers = _pool_workers(total, stop)
-                if workers > 1:
-                    from repro.perf.parallel import run_combination_search
-
-                    outcome = run_combination_search(
-                        computation, per_group_chains, workers, stop
-                    )
-                    if outcome is not None:
-                        stats.set("workers", workers)
-                        stats.inc("invocations", outcome.invocations)
-                        stats.inc("advances", outcome.advances)
-                        return _finish(outcome.selection)
-        trk.finish()
-        return _finish(None)
+        return DetectionResult(
+            holds=True,
+            witness=selection_witness(computation, predicate, selection),
+            algorithm=algorithm,
+            stats=stats.as_dict(),
+        )
 
 
 def detect_singular(

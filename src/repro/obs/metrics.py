@@ -134,28 +134,6 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def merge_summary(self, summary: Dict[str, Any]) -> None:
-        """Fold another histogram's summary into this one.
-
-        Count, sum and the min/max envelope merge exactly; the sample
-        reservoir is left untouched, so percentiles keep describing the
-        locally recorded observations only.  Used to aggregate worker
-        snapshots from the parallel sweep back into the parent registry.
-        """
-        other_count = int(summary.get("count", 0))
-        if other_count <= 0:
-            return
-        self.count += other_count
-        self.total += float(summary.get("sum", 0.0))
-        for bound, better in (("min", min), ("max", max)):
-            value = summary.get(bound)
-            if value is None:
-                continue
-            ours = getattr(self, bound)
-            setattr(
-                self, bound, value if ours is None else better(ours, value)
-            )
-
 
 class MetricsRegistry:
     """Create-on-first-use registry of named instruments."""
@@ -191,21 +169,6 @@ class MetricsRegistry:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-
-    def merge_snapshot(self, snapshot: Dict[str, Any]) -> None:
-        """Fold a :meth:`snapshot` dict from another registry into this one.
-
-        Counters add, gauges take the incoming value (last write wins),
-        histograms merge via :meth:`Histogram.merge_summary`.  This is the
-        parent side of parallel-sweep metric aggregation: workers snapshot
-        their process-local registries and the driver merges them here.
-        """
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).inc(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, summary in snapshot.get("histograms", {}).items():
-            self.histogram(name).merge_summary(summary)
 
     # ------------------------------------------------------------------
     # Exporters

@@ -3,7 +3,7 @@
 Detecting ``possibly(B)`` is NP-complete in general, so a detection run
 can legitimately take minutes — or forever, from the caller's point of
 view.  This module threads a *rate-limited heartbeat* through the long
-loops (combination sweeps, Cooper–Marzullo BFS, lattice enumeration,
+loops (combination searches, Cooper–Marzullo BFS, lattice enumeration,
 fuzz iterations) without touching their disabled-path cost profile:
 
 * :func:`tracker` returns a shared no-op object unless a
@@ -24,9 +24,7 @@ Activation is scoped::
     with progress_context(sink=print_event, deadline_ms=5000):
         detect(computation, predicate)     # long loops now tick
 
-The context is installed process-globally (mirroring ``obs.STATE``);
-worker processes of the parallel sweep clear it on startup, so pacing
-and deadline enforcement stay in the driving process.
+The context is installed process-globally (mirroring ``obs.STATE``).
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ stored on the computation, by every query against the same computation):
   receive-delta table, letting BFS engines track plain frontier tuples
   instead of constructing and re-hashing :class:`Cut` objects per edge;
 * the dense numpy :class:`~repro.perf.clockmatrix.ClockMatrix`
-  (:attr:`matrix`), built on first use by the batched combination sweep;
+  (:attr:`matrix`), built on first use; no engine reads it any more;
 * the classifier's validation sample (:attr:`validation_sample`), which
   depends only on the computation's shape and is drawn once by
   :func:`repro.analysis.classify.validate.sample_cuts`.
@@ -415,7 +415,8 @@ class CausalityIndex:
 
         Built lazily from the clock table, importing numpy on the way:
         callers reach it only when
-        :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.
+        :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.  No engine
+        reads it; the benchmark harness still times its build.
         """
         if self._matrix is None:
             from repro.perf.clockmatrix import ClockMatrix

@@ -1,4 +1,4 @@
-"""Dense numpy copy of the clock table for the batched combination sweep.
+"""Dense numpy copy of the clock table.
 
 Every hot comparison in the detection engines reduces to reading one
 component of one Fidge–Mattern clock: with the repo's clock convention
@@ -9,20 +9,18 @@ no initial-event special cases,
     ``e = (p, i) ⊑ f``   ⟺   ``clk(f)[p] >= i + 1``
 
 The computation's clock table (``Computation._clk``, shared by
-:class:`~repro.perf.causality.CausalityIndex`) answers single reads
-fastest, and serves the lattice walks and the consistency closure.
-:class:`ClockMatrix` is a derived copy of that table as one dense
-``(total_events, n)`` ``int64`` matrix — rows in process-major order —
-for the one engine that compares many clocks at once: the batched
-combination sweep
-(:class:`~repro.detection.work_optimal.CombinationSweep`), which gathers
-:attr:`ClockMatrix.clk` rows through :meth:`ClockMatrix.row`.
+:class:`~repro.perf.causality.CausalityIndex`) answers those reads for
+every engine.  :class:`ClockMatrix` is a derived copy of that table as
+one dense ``(total_events, n)`` ``int64`` matrix — rows in process-major
+order, located with :meth:`ClockMatrix.row`.  It served a batched
+combination sweep that the depth-first combination search
+(:func:`repro.detection.singular_cnf.search_combinations`) replaced; no
+engine reads it now, and it stays while the benchmark harness times its
+build.
 
 The matrix needs numpy, and numpy is imported only when a matrix is
-built, so a process that never runs a batched sweep never loads it.
-:data:`HAVE_NUMPY` says whether numpy is installed (and not disabled by
-``REPRO_NO_NUMPY``) without importing it; when it is False nobody builds
-a matrix and the sweep runs its serial scan instead.  Obtain the matrix
+built.  :data:`HAVE_NUMPY` says whether numpy is installed (and not
+disabled by ``REPRO_NO_NUMPY``) without importing it.  Obtain the matrix
 through :attr:`repro.perf.causality.CausalityIndex.matrix` so it is
 built once per computation.
 """
@@ -44,7 +42,7 @@ HAVE_NUMPY = not os.environ.get("REPRO_NO_NUMPY") and (
 
 
 def numpy_available() -> bool:
-    """True iff the batched sweep may build clock matrices in this process."""
+    """True iff clock matrices may be built in this process."""
     return HAVE_NUMPY
 
 

@@ -188,7 +188,10 @@ def satisfiability_to_detection(formula: CNFFormula) -> DetectionInstance:
                 created = builder.receive(proc, **value)
             else:
                 created = builder.internal(proc, **value)
-            assert created == eid
+            if created != eid:
+                raise AssertionError(
+                    f"gadget event {eid} was built as {created}"
+                )
     for send, recv in arrows:
         builder.message(send, recv)
     computation = builder.build()
@@ -224,23 +227,26 @@ def assignment_from_witness(
     """Read a satisfying assignment off a witness cut (paper, Section 3.1).
 
     A literal is made true when the cut passes through one of its true
-    events; remaining variables default to False.  Raises AssertionError if
-    the cut encodes conflicting literals (impossible for consistent cuts of
-    a correctly built gadget) or does not satisfy the formula.
+    events; remaining variables default to False.  Raises AssertionError
+    (explicitly, so ``python -O`` keeps it) if the cut encodes conflicting
+    literals (impossible for consistent cuts of a correctly built gadget)
+    or does not satisfy the formula.
     """
     assignment: Assignment = {}
     for eid, lit in instance.literal_of.items():
         if witness.passes_through(eid):
             var, value = abs(lit), lit > 0
-            assert assignment.get(var, value) == value, (
-                f"witness assigns variable {var} both polarities"
-            )
+            if assignment.get(var, value) != value:
+                raise AssertionError(
+                    f"witness assigns variable {var} both polarities"
+                )
             assignment[var] = value
     for var in instance.formula.variables():
         assignment.setdefault(var, False)
-    assert instance.formula.evaluate(assignment), (
-        "witness cut does not induce a satisfying assignment"
-    )
+    if not instance.formula.evaluate(assignment):
+        raise AssertionError(
+            "witness cut does not induce a satisfying assignment"
+        )
     return assignment
 
 
@@ -251,7 +257,9 @@ def witness_from_assignment(
 
     Picks, per clause, one literal that the assignment satisfies, and takes
     the least consistent cut through the corresponding true events.  Raises
-    ValueError when the assignment does not satisfy the formula.
+    ValueError when the assignment does not satisfy the formula, and
+    AssertionError (explicitly, so ``python -O`` keeps it) when the cut
+    does not exist or does not satisfy the gadget's predicate.
     """
     selection: List[EventId] = []
     for index, cl in enumerate(instance.formula.clauses):
@@ -265,8 +273,12 @@ def witness_from_assignment(
         chosen = satisfied[0]
         selection.append(instance.clause_occurrences[index][chosen])
     witness = least_consistent_cut(instance.computation, selection)
-    assert witness is not None, (
-        "true events of jointly-satisfiable literals must be consistent"
-    )
-    assert instance.predicate.evaluate(witness)
+    if witness is None:
+        raise AssertionError(
+            "true events of jointly-satisfiable literals must be consistent"
+        )
+    if not instance.predicate.evaluate(witness):
+        raise AssertionError(
+            f"witness {witness.frontier} does not satisfy the gadget"
+        )
     return witness

@@ -96,23 +96,36 @@ def subset_sum_to_detection(
 
 
 def subset_from_witness(instance: SubsetSumInstance, witness: Cut) -> List[int]:
-    """Indices whose events the witness cut executed; sums to the target."""
+    """Indices whose events the witness cut executed; sums to the target.
+
+    Raises AssertionError (explicitly, so ``python -O`` keeps it) when the
+    executed elements do not sum to the target.
+    """
     subset = [
         j for j in range(len(instance.sizes)) if witness.frontier[j] == 2
     ]
-    assert sum(instance.sizes[j] for j in subset) == instance.target
+    total = sum(instance.sizes[j] for j in subset)
+    if total != instance.target:
+        raise AssertionError(
+            f"witness subset sums to {total}, not {instance.target}"
+        )
     return subset
 
 
 def witness_from_subset(
     computation: Computation, subset: List[int]
 ) -> Cut:
-    """The consistent cut executing exactly the subset's events."""
+    """The consistent cut executing exactly the subset's events.
+
+    Raises AssertionError (explicitly, so ``python -O`` keeps it) when that
+    cut is inconsistent.
+    """
     frontier = [1] * computation.num_processes
     for j in subset:
         frontier[j] = 2
     cut = Cut(computation, frontier)
-    assert cut.is_consistent()
+    if not cut.is_consistent():
+        raise AssertionError(f"subset cut {cut.frontier} is inconsistent")
     return cut
 
 

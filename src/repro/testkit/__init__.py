@@ -45,6 +45,8 @@ from repro.testkit.oracles import (
     brute_definitely,
     brute_possibly,
     brute_runs,
+    combination_at,
+    rank_walk,
 )
 from repro.testkit.registry import (
     ClassSpec,
@@ -78,12 +80,14 @@ __all__ = [
     "brute_possibly",
     "brute_runs",
     "buggy_detect_conjunctive",
+    "combination_at",
     "default_registry",
     "iter_corpus",
     "load_case",
     "planted_engine",
     "predicate_from_dict",
     "predicate_to_dict",
+    "rank_walk",
     "referenced_processes",
     "replay_case",
     "run_fuzz",

@@ -147,7 +147,7 @@ def _gen_general_cnf(rng: "_random.Random", seed: int) -> Instance:
     )
     # 2-5 clauses of width 1-3, literals of both polarities.  Widths lean
     # to 3 so that about one instance in seven has at least 64 literal
-    # choices, the batched sweep's threshold (VEC_MIN_COMBINATIONS).
+    # choices, enough for the combination search's prunings to matter.
     groups = [
         rng.sample(range(n), rng.choice((1, 2, 3, 3, 3)))
         for _ in range(rng.randint(2, 5))

@@ -6,9 +6,13 @@ avoid every code path they are used to check.
 * :func:`brute_possibly` enumerates every consistent cut by filtering *all*
   frontier vectors (it does not use the lattice successor machinery);
 * :func:`brute_definitely` enumerates every run via depth-first search over
-  enabled events and checks each run's cut sequence directly.
+  enabled events and checks each run's cut sequence directly;
+* :func:`rank_walk` decides a Section 3.3 combination table rank by rank
+  in ``itertools.product`` order, one CPDHB scan per combination.  It
+  shares the elimination kernel with the combination search it referees,
+  but none of the search's pruning.
 
-Both are exponential — use them only on small computations.  The
+All three are exponential — use them only on small computations.  The
 :mod:`repro.testkit.registry` gates them behind a ``max_events`` budget for
 exactly that reason.
 
@@ -21,9 +25,11 @@ engines.  ``tests/helpers.py`` still re-exports them.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional
+import math
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.computation import Computation, Cut
+from repro.events import EventId
 
 __all__ = [
     "all_cuts",
@@ -31,6 +37,8 @@ __all__ = [
     "brute_possibly",
     "brute_definitely",
     "brute_runs",
+    "combination_at",
+    "rank_walk",
 ]
 
 
@@ -89,3 +97,43 @@ def brute_definitely(
         if not any(predicate(cut) for cut in run):
             return False
     return True
+
+
+def combination_at(
+    per_group_chains: Sequence[Sequence[Sequence[EventId]]], rank: int
+) -> List[Sequence[EventId]]:
+    """The ``rank``-th combination in ``itertools.product`` order.
+
+    Mixed-radix decode with the last group as the fastest-varying digit,
+    matching ``itertools.product(*per_group_chains)`` exactly.
+    """
+    combo: List[Sequence[EventId]] = []
+    for chains in reversed(per_group_chains):
+        rank, digit = divmod(rank, len(chains))
+        combo.append(chains[digit])
+    combo.reverse()
+    return combo
+
+
+def rank_walk(
+    computation: Computation,
+    per_group_chains: Sequence[Sequence[Sequence[EventId]]],
+) -> Tuple[Optional[int], Optional[List[EventId]]]:
+    """First rank whose combination admits a consistent selection.
+
+    Scores every combination of one chain per group in
+    ``itertools.product`` order with one
+    :class:`~repro.detection.garg_waldecker.SelectionScan`, and returns
+    the first success's rank and least consistent selection, or
+    ``(None, None)``.  Visits up to ``prod |G_j|`` ranks: small tables
+    only.
+    """
+    from repro.detection.garg_waldecker import SelectionScan
+
+    total = math.prod(len(chains) for chains in per_group_chains)
+    for rank in range(total):
+        combo = combination_at(per_group_chains, rank)
+        selection = SelectionScan(computation, combo).run()
+        if selection is not None:
+            return rank, selection
+    return None, None

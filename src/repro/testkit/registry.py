@@ -3,7 +3,7 @@ which ground truth.
 
 The library has three verdict-producing layers — the detection engines, the
 SAT reductions, and the brute-force oracles — plus fast-path variants
-(memoized indices, worker-pool sweeps) that must all agree.  This module
+(memoized indices, the combination search) that must all agree.  This module
 makes the agreement obligation *data*: every predicate class maps to the
 full set of applicable engines and to one exponential ground-truth oracle.
 
@@ -30,7 +30,7 @@ from repro.predicates.conjunctive import (
 from repro.predicates.local import Literal
 from repro.predicates.relational import RelationalSumPredicate, Relop
 from repro.predicates.symmetric import SymmetricPredicate
-from repro.testkit.oracles import brute_definitely, brute_possibly
+from repro.testkit.oracles import brute_definitely, brute_possibly, rank_walk
 
 __all__ = [
     "EngineSpec",
@@ -417,21 +417,37 @@ def _build_default() -> OracleRegistry:
             wave = nxt_wave
         return run_cpdhb(comp, pred)
 
-    def run_chain_choice_parallel2(
-        comp: Computation, pred: GlobalPredicate
-    ) -> bool:
-        """Chain choice on a two-worker pool, called directly: the driver
-        forks only for sweeps far larger than fuzz instances."""
-        from repro.detection.singular_cnf import chain_choice_table
-        from repro.perf.parallel import run_combination_search
+    def run_rank_walk(comp: Computation, pred: GlobalPredicate) -> bool:
+        """Walk every rank of each combination table the driver searches
+        for this CNF (literal choice; process and chain choice too when
+        singular) in product order, one CPDHB scan per rank, and check
+        that the search stops at the same rank with the same selection.
+        Returns the walk's verdict; any divergence raises."""
+        from repro.detection.singular_cnf import (
+            chain_choice_table,
+            literal_choice_table,
+            process_choice_table,
+            search_combinations,
+        )
 
         cnf = as_cnf(pred)
-        outcome = run_combination_search(
-            comp, chain_choice_table(comp, cnf), 2
-        )
-        if outcome is None:  # no pool could be created here
-            return detect_by_chain_choice(comp, cnf).holds
-        return outcome.selection is not None
+        tables = [literal_choice_table(comp, cnf)]
+        if cnf.is_singular():
+            tables.append(process_choice_table(comp, cnf))
+            tables.append(chain_choice_table(comp, cnf))
+        verdicts = set()
+        for table in tables:
+            rank, selection = rank_walk(comp, table)
+            found = search_combinations(comp, table)
+            _check(
+                (found.rank, found.selection) == (rank, selection),
+                f"search stopped at rank {found.rank} with "
+                f"{found.selection}, the walk at rank {rank} with "
+                f"{selection}",
+            )
+            verdicts.add(selection is not None)
+        _check(len(verdicts) == 1, "combination tables disagree")
+        return verdicts.pop()
 
     for engine in [
         EngineSpec("cpdhb", P, run_cpdhb),
@@ -461,9 +477,9 @@ def _build_default() -> OracleRegistry:
             applies=_has_cnf_view,
         ),
         EngineSpec(
-            "chain-choice-parallel2",
+            "rank-walk",
             P,
-            run_chain_choice_parallel2,
+            run_rank_walk,
             applies=_has_cnf_view,
         ),
         EngineSpec(
@@ -538,9 +554,7 @@ def _build_default() -> OracleRegistry:
             P,
             lambda c, p: detect_by_process_choice(c, p).holds,
         ),
-        EngineSpec(
-            "chain-choice-parallel2", P, run_chain_choice_parallel2
-        ),
+        EngineSpec("rank-walk", P, run_rank_walk),
         EngineSpec(
             "literal-choice",
             P,
@@ -603,6 +617,7 @@ def _build_default() -> OracleRegistry:
             P,
             lambda c, p: detect_cnf_by_literal_choice(c, p).holds,
         ),
+        EngineSpec("rank-walk", P, run_rank_walk),
         EngineSpec(
             "enumeration",
             P,

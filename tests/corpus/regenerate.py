@@ -23,7 +23,11 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.computation import Computation, final_cut, initial_cut
-from repro.detection import detect_by_chain_choice, detect_singular
+from repro.detection import detect_singular
+from repro.detection.singular_cnf import (
+    chain_choice_table,
+    search_combinations,
+)
 from repro.predicates import (
     CNFPredicate,
     Clause,
@@ -326,29 +330,26 @@ def main() -> None:
         sym_structural,
     )
 
-    # 7. A 2-CNF where the chain-choice sweep has >= 2 combinations AND the
-    #    first one fails (invocations >= 2): the witness lives in a later
-    #    combination, so the two-worker pool's partitioning of the sweep must
-    #    reach the same verdict as the serial order.
-    def parallel_sweep(c: Computation, p: GlobalPredicate) -> bool:
+    # 7. A 2-CNF whose chain-choice search finds its witness past the
+    #    first combination (rank >= 1): the rank-walk referee must stop at
+    #    the same rank with the same selection.
+    def later_rank(c: Computation, p: GlobalPredicate) -> bool:
         if not cnf_2x2(c, p):
             return False
         try:
-            stats = detect_by_chain_choice(c, p).stats
+            table = chain_choice_table(c, p)
+            found = search_combinations(c, table)
         except Exception:  # noqa: BLE001
             return False
-        return (
-            int(stats.get("combinations", 0)) >= 2
-            and int(stats.get("invocations", 0)) >= 2
-        )
+        return len(table[0]) * len(table[1]) >= 2 and (found.rank or 0) >= 1
 
     _make_case(
-        "pin-parallel2-vs-serial-chain-choice",
-        "chain-choice-parallel2 vs chain-choice (singular-cnf, possibly)",
+        "pin-rank-walk-vs-chain-choice",
+        "rank-walk vs chain-choice (singular-cnf, possibly)",
         Modality.POSSIBLY,
         True,
         gen_2cnf,
-        parallel_sweep,
+        later_rank,
         seeds=range(300),
     )
 

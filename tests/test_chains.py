@@ -12,10 +12,21 @@ from hypothesis import strategies as st
 
 from repro.computation import (
     HopcroftKarp,
+    UnknownEventError,
     greedy_chain_cover,
     minimum_chain_cover,
 )
+from repro.computation import chains as chains_module
+from repro.computation.chains import successor_lists
 from repro.trace import random_computation
+
+
+def closure_successor_lists(comp, events):
+    """The Fulkerson graph from n^2 validated happened-before calls."""
+    return [
+        [j for j, f in enumerate(events) if i != j and comp.happened_before(e, f)]
+        for i, e in enumerate(events)
+    ]
 
 
 class TestHopcroftKarp:
@@ -125,6 +136,50 @@ class TestChainCover:
     def test_duplicates_ignored(self, figure2):
         chains = minimum_chain_cover(figure2, [(0, 1), (0, 1)])
         assert chains == [[(0, 1)]]
+
+
+class TestSuccessorLists:
+    """The clock-row graph equals the transitive-closure graph."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(0, 6),
+        st.floats(0.0, 0.8),
+        st.integers(0, 10_000),
+    )
+    def test_matches_closure_graph(self, n, events, density, seed):
+        comp = random_computation(n, events, density, seed=seed)
+        everything = [
+            (p, i) for p in range(n) for i in range(len(comp.events_of(p)))
+        ]
+        rng = random.Random(seed)
+        rng.shuffle(everything)
+        subset = everything[: rng.randint(0, len(everything))]
+        assert successor_lists(comp, subset) == closure_successor_lists(
+            comp, subset
+        )
+
+    def test_unknown_event_raises(self, figure2):
+        with pytest.raises(UnknownEventError):
+            successor_lists(figure2, [(0, 1), (9, 0)])
+
+    def test_broken_matching_raises_under_optimization(
+        self, figure2, monkeypatch
+    ):
+        """The size check is an explicit raise, so ``python -O`` keeps it."""
+
+        class CyclicMatcher:
+            def __init__(self, n_left, n_right, adjacency):
+                # Every event is someone's successor: no chain has a head.
+                self.match_left = [(u + 1) % n_left for u in range(n_left)]
+
+            def solve(self):
+                return len(self.match_left)
+
+        monkeypatch.setattr(chains_module, "HopcroftKarp", CyclicMatcher)
+        with pytest.raises(AssertionError, match="chain cover holds 0 of 2"):
+            minimum_chain_cover(figure2, [(0, 1), (3, 1)])
 
 
 class TestGreedyCover:

@@ -1,9 +1,8 @@
 """A ``repro detect`` run imports no subsystem it does not use.
 
 The CLI maps the lint, monitor, service and simulation error classes to
-exit codes without importing those packages, and a combination sweep
-imports the worker pool (and ``multiprocessing``) only when it forks,
-which a small sweep never does.  Each check runs in a fresh
+exit codes without importing those packages, and no detection path
+imports ``multiprocessing``.  Each check runs in a fresh
 interpreter, because ``sys.modules`` of the test process already holds
 whatever earlier tests imported.
 """
@@ -26,7 +25,6 @@ SUBSYSTEMS = [
     "repro.monitor",
     "repro.service",
     "repro.simulation",
-    "repro.perf.parallel",
     "multiprocessing",
 ]
 

@@ -11,17 +11,15 @@ from repro.computation import ComputationBuilder
 from repro.detection import (
     SelectionScan,
     detect_conjunctive,
-    detect_singular,
     find_consistent_selection,
     possibly_enumerate,
     selection_witness,
 )
-from repro.detection.singular_cnf import chain_choice_table
-from repro.perf.parallel import run_combination_search
-from repro.predicates import clause, conjunctive, local, singular_cnf
+from repro.detection.garg_waldecker import eliminate
+from repro.perf.causality import CausalityIndex
+from repro.predicates import conjunctive, local
 from repro.predicates.local import true_events
 from repro.trace import BoolVar, random_computation
-from workloads import serial_rank_walk
 
 random_comp = st.builds(
     random_computation,
@@ -80,31 +78,32 @@ class TestSelectionScanProperties:
         scan.run()
         assert scan.advances <= sum(len(chain) for chain in chains)
 
-    @settings(max_examples=12, deadline=None)
-    @given(st.integers(0, 10_000))
-    def test_parallel_driver_matches_serial_scan(self, seed):
-        """Verdict, witness, and scan count are worker-count invariant."""
-        comp = random_computation(
-            4, 5, 0.3, seed=seed, variables=[BoolVar("x", density=0.4)]
-        )
-        pred = singular_cnf(
-            clause(local(0, "x"), local(1, "x")),
-            clause(local(2, "x"), local(3, "x")),
-        )
-        chains = chain_choice_table(comp, pred)
-        rank, selection, invocations, advances = serial_rank_walk(
-            comp, chains
-        )
-        for workers in (2, 4):
-            outcome = run_combination_search(comp, chains, workers)
-            assert outcome is not None, "no worker pool could be created"
-            assert outcome.rank == rank
-            assert outcome.selection == selection
-            assert outcome.invocations == invocations
-            assert outcome.advances == advances
-        serial = detect_singular(comp, pred, strategy="chain-choice")
-        assert serial.holds == (selection is not None)
-        assert serial.stats["invocations"] == invocations
+    @settings(max_examples=25, deadline=None)
+    @given(random_comp)
+    def test_prefix_extension_matches_fresh_scan(self, comp):
+        """Resuming the kernel chain by chain from each prefix's least
+        selection ends where one fresh scan of all chains ends."""
+        chains = [
+            list(true_events(comp, local(p, "x")))
+            for p in range(comp.num_processes)
+        ]
+        chains = [chain for chain in chains if chain]
+        fresh = SelectionScan(comp, chains).run()
+        index = CausalityIndex.of(comp)
+        cursor: list = []
+        consistent = True
+        for k in range(len(chains)):
+            cursor.append(0)
+            consistent, _, _ = eliminate(
+                index._clk, index._lengths, chains[: k + 1], cursor, (k,)
+            )
+            if not consistent:
+                break
+        if fresh is None:
+            assert not consistent
+        else:
+            assert consistent
+            assert [chains[i][cursor[i]] for i in range(len(chains))] == fresh
 
 
 class TestSelectionWitness:

@@ -1,11 +1,11 @@
-"""numpy is imported only by a batched combination sweep.
+"""No query imports numpy, and none answers differently without it.
 
 Each check runs in a fresh interpreter, because ``sys.modules`` of the
 test process already holds whatever earlier tests imported.  Importing
-the CLI and answering a textual conjunctive query must leave numpy
-unloaded; a singular CNF sweep of at least ``VEC_MIN_COMBINATIONS``
-ranks loads it (when it is installed) and answers exactly as the
-``REPRO_NO_NUMPY=1`` serial run does.
+the CLI, answering a textual conjunctive query and searching a singular
+CNF's combinations must all leave numpy unloaded, and the search's
+verdicts, witnesses and stats must equal those of a
+``REPRO_NO_NUMPY=1`` run.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ import json
 import os
 import subprocess
 import sys
-from importlib.util import find_spec
 from pathlib import Path
-
-import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -61,11 +58,10 @@ print(json.dumps({"numpy": "numpy" in sys.modules,
 """
 
 # Four clauses over three processes each: 3**4 = 81 process-choice
-# combinations, above the batched sweep's threshold.
-SINGULAR_SWEEP = """
+# combinations.
+SINGULAR_SEARCH = """
 import json, sys
 from repro.detection.singular_cnf import detect_singular
-from repro.detection.work_optimal import VEC_MIN_COMBINATIONS
 from repro.predicates.parser import parse_predicate
 from repro.trace import BoolVar, grouped_computation
 
@@ -82,10 +78,11 @@ for seed in range(6):
         comp, parse_predicate(text, num_processes=12),
         strategy="process-choice",
     )
-    assert result.stats["combinations"] >= VEC_MIN_COMBINATIONS
+    assert result.stats["combinations"] == 81
     found.append([
         result.holds,
         list(result.witness.frontier) if result.witness else None,
+        result.stats,
     ])
 print(json.dumps({"numpy": "numpy" in sys.modules, "found": found}))
 """
@@ -100,12 +97,34 @@ def test_textual_conjunctive_detect_leaves_numpy_out():
     assert out == {"numpy": False, "algorithm": "cpdhb"}
 
 
-@pytest.mark.skipif(find_spec("numpy") is None, reason="numpy not installed")
-def test_singular_sweep_loads_numpy_and_matches_serial_run():
-    batched = run_isolated(SINGULAR_SWEEP)
-    serial = run_isolated(SINGULAR_SWEEP, no_numpy=True)
-    assert batched["numpy"] is True
-    assert serial["numpy"] is False
-    assert batched["found"] == serial["found"]
+def test_singular_search_leaves_numpy_out_and_matches_no_numpy_run():
+    plain = run_isolated(SINGULAR_SEARCH)
+    opted_out = run_isolated(SINGULAR_SEARCH, no_numpy=True)
+    assert plain["numpy"] is False and opted_out["numpy"] is False
+    assert plain["found"] == opted_out["found"]
     # Both verdicts occur, so the witness comparison is not vacuous.
-    assert {holds for holds, _ in batched["found"]} == {True, False}
+    assert {holds for holds, _, _ in plain["found"]} == {True, False}
+
+
+# 4**8 = 65,536 process choices, none consistent: the parent's sweeps
+# counted 2,752,512 advances with numpy and 1,048,576 without.
+UNSATISFIABLE_PROCESS_CHOICE = f"""
+import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1] / "benchmarks")!r})
+from workloads import chain_structured_group
+from repro.detection import detect_by_process_choice
+
+comp, pred = chain_structured_group(
+    8, 4, chains_per_group=1, satisfiable=False
+)
+result = detect_by_process_choice(comp, pred)
+print(json.dumps({{"holds": result.holds, "stats": result.stats}}))
+"""
+
+
+def test_process_choice_stats_do_not_depend_on_numpy():
+    plain = run_isolated(UNSATISFIABLE_PROCESS_CHOICE)
+    opted_out = run_isolated(UNSATISFIABLE_PROCESS_CHOICE, no_numpy=True)
+    assert plain == opted_out
+    assert plain["holds"] is False
+    assert plain["stats"]["combinations"] == 4**8

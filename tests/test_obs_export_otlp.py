@@ -177,15 +177,15 @@ class TestPrometheus:
         reg = MetricsRegistry()
         reg.counter("detect.queries").inc(1)
         reg.counter("engine.cpdhb.advances").inc(3)
-        reg.gauge("perf.pool.workers").set(2)
+        reg.gauge("perf.slice.reduction").set(2)
         reg.histogram("span.detect.query.ms").record(2.5)
         expected = "\n".join([
             "# TYPE repro_detect_queries counter",
             "repro_detect_queries 1",
             "# TYPE repro_engine_cpdhb_advances counter",
             "repro_engine_cpdhb_advances 3",
-            "# TYPE repro_perf_pool_workers gauge",
-            "repro_perf_pool_workers 2",
+            "# TYPE repro_perf_slice_reduction gauge",
+            "repro_perf_slice_reduction 2",
             "# TYPE repro_span_detect_query_ms summary",
             'repro_span_detect_query_ms{quantile="0.5"} 2.5',
             'repro_span_detect_query_ms{quantile="0.95"} 2.5',

@@ -2,16 +2,13 @@
 
 The index must be *transparent*: every fast path answers
 exactly what the corresponding ``Computation``/``Cut`` method answers,
-on arbitrary seeded traces.  The parallel driver must preserve the
-serial sweep's verdict, witness, and scan counts.
+on arbitrary seeded traces.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import pickle
-import threading
 import weakref
 
 from hypothesis import given, settings
@@ -23,18 +20,19 @@ from repro.computation import (
     iter_consistent_cuts,
 )
 from repro.detection import (
-    detect,
     detect_cnf_by_literal_choice,
     detect_conjunctive,
     detect_singular,
     possibly_enumerate,
 )
-from repro.detection.work_optimal import POOL_MIN_COMBINATIONS, combination_at
+from repro.detection.singular_cnf import (
+    literal_choice_table,
+    search_combinations,
+)
 from repro.obs import Capture
 from repro.obs.progress import progress_context
 from repro.perf.causality import CausalityIndex
 from repro.perf.clockmatrix import numpy_available
-from repro.perf.parallel import run_combination_search
 from repro.predicates import (
     CNFPredicate,
     Clause,
@@ -45,6 +43,7 @@ from repro.predicates import (
     local,
     singular_cnf,
 )
+from repro.testkit.oracles import combination_at
 from repro.trace import (
     BoolVar,
     dump_computation,
@@ -209,111 +208,9 @@ def _literal_sweep(clauses, flipped):
     return builder.build(), pred
 
 
-def _cores(monkeypatch, count):
-    monkeypatch.setattr(
-        os, "sched_getaffinity", lambda pid: set(range(count))
-    )
+class TestCombinationSearch:
+    """The Section 3.3 search: product-order ranks, progress, edge cases."""
 
-
-def _pool_snapshot(comp, pred):
-    with Capture() as cap:
-        result = detect_cnf_by_literal_choice(comp, pred)
-    return result, cap.registry.snapshot()
-
-
-class TestPoolGate:
-    """The combination driver chooses its own worker count: a pool only
-    after a failed first chunk of a sweep of at least
-    ``POOL_MIN_COMBINATIONS`` ranks, with two usable cores and no other
-    live thread — and never a different verdict or counter."""
-
-    def _serial(self, monkeypatch, comp, pred):
-        _cores(monkeypatch, 1)
-        result = detect_cnf_by_literal_choice(comp, pred)
-        assert result.stats["workers"] == 1
-        return result
-
-    def test_small_sweep_stays_serial(self, monkeypatch):
-        comp, pred = _literal_sweep(15, 3)
-        assert 2**15 < POOL_MIN_COMBINATIONS
-        _cores(monkeypatch, 2)
-        result, snap = _pool_snapshot(comp, pred)
-        assert result.holds
-        assert result.stats["workers"] == 1
-        assert "perf.pool.workers" not in snap["gauges"]
-
-    def test_large_sweep_forks_after_failed_first_chunk(self, monkeypatch):
-        comp, pred = _literal_sweep(16, 3)
-        assert 2**16 == POOL_MIN_COMBINATIONS
-        serial = self._serial(monkeypatch, comp, pred)
-        assert threading.active_count() == 1, threading.enumerate()
-        _cores(monkeypatch, 2)
-        events = []
-        with progress_context(sink=events.append, interval_s=0.0):
-            pooled, snap = _pool_snapshot(comp, pred)
-        done = [e.done for e in events if e.name == "detect.combinations"]
-        assert done == sorted(done)
-        assert done[-1] == pooled.stats["invocations"]
-        assert pooled.stats["workers"] == 2
-        assert snap["gauges"]["perf.pool.workers"] == 2
-        assert pooled.holds and serial.holds
-        assert pooled.witness.frontier == serial.witness.frontier
-        for key in ("combinations", "invocations", "advances"):
-            assert pooled.stats[key] == serial.stats[key], key
-
-    def test_live_thread_keeps_the_sweep_serial(self, monkeypatch):
-        comp, pred = _literal_sweep(16, 3)
-        serial = self._serial(monkeypatch, comp, pred)
-        _cores(monkeypatch, 2)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait)
-        thread.start()
-        try:
-            result, snap = _pool_snapshot(comp, pred)
-        finally:
-            release.set()
-            thread.join()
-        assert result.stats["workers"] == 1
-        assert snap["counters"]["perf.pool.fallbacks"] == 1
-        assert "perf.pool.workers" not in snap["gauges"]
-        assert result.stats == serial.stats
-        assert result.witness.frontier == serial.witness.frontier
-
-    def test_first_chunk_success_creates_no_pool(self, monkeypatch):
-        comp, pred = _literal_sweep(16, 0)
-        _cores(monkeypatch, 2)
-        result, snap = _pool_snapshot(comp, pred)
-        assert result.holds
-        assert result.stats["workers"] == 1
-        assert result.stats["invocations"] <= 4096
-        assert "perf.pool.workers" not in snap["gauges"]
-
-    def test_detect_routes_big_non_singular_sweeps_through_the_gate(
-        self, monkeypatch
-    ):
-        # 30 clauses of three literals on one process: 3**30 literal
-        # choices, the first of which holds.
-        builder = ComputationBuilder(1)
-        names = [f"v{j}" for j in range(90)]
-        builder.init_values(0, **{name: False for name in names})
-        builder.internal(0, **{name: True for name in names})
-        pred = CNFPredicate(
-            [
-                Clause([Literal(0, name) for name in names[j : j + 3]])
-                for j in range(0, 90, 3)
-            ]
-        )
-        _cores(monkeypatch, 2)
-        with Capture() as cap:
-            result = detect(builder.build(), pred)
-        assert result.holds
-        assert result.algorithm == "stoller-schneider"
-        assert result.stats["combinations"] == 3**30
-        assert result.stats["workers"] == 1
-        assert "perf.pool.workers" not in cap.registry.snapshot()["gauges"]
-
-
-class TestParallelHelpers:
     def test_combination_at_matches_product_order(self):
         import itertools
 
@@ -326,47 +223,30 @@ class TestParallelHelpers:
         for rank, combo in enumerate(expected):
             assert tuple(combination_at(per_group, rank)) == combo
 
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000), st.booleans())
-    def test_run_combination_search_matches_serial(self, seed, dense):
-        comp = random_computation(
-            4,
-            4,
-            0.5 if dense else 0.1,
-            seed=seed,
-            variables=[BoolVar("x", density=0.4)],
-        )
-        pred = singular_cnf(
-            clause(local(0, "x"), local(1, "x")),
-            clause(local(2, "x"), local(3, "x")),
-        )
-        serial = detect_singular(comp, pred, strategy="chain-choice")
-        index = CausalityIndex.of(comp)
-        per_group = [
-            [list(chain) for chain in index.chain_cover(cl)]
-            for cl in pred.clauses
-        ]
-        outcome = run_combination_search(comp, per_group, workers=2)
-        if outcome is None:  # no pool in this sandbox: fallback covered
-            return
-        assert (outcome.selection is not None) == serial.holds
-        assert outcome.invocations == serial.stats["invocations"]
-        assert outcome.advances == serial.stats["advances"]
+    def test_success_rank_is_the_first_in_product_order(self):
+        comp, pred = _literal_sweep(16, 3)
+        result = detect_cnf_by_literal_choice(comp, pred)
+        assert result.holds
+        assert result.stats["combinations"] == 2**16
+        found = search_combinations(comp, literal_choice_table(comp, pred))
+        assert found.rank == (2**3 - 1) * 2**13
+        assert found.nodes == result.stats["invocations"]
 
-    def test_pool_stops_handing_out_chunks_after_a_success(self, figure2):
-        # 3^40 ranks, first success at rank 242 (the last five groups must
-        # take their third chain): the pool must return once it is found,
-        # not feed every remaining chunk to its workers.
-        per_group = [[[(0, 1)], [], []]] * 35 + [[[], [], [(0, 1)]]] * 5
-        outcome = run_combination_search(figure2, per_group, workers=2)
-        if outcome is None:  # no pool in this sandbox: fallback covered
-            return
-        assert outcome.rank == 242
-        assert outcome.selection == [(0, 1)] * 40
+    def test_progress_settles_every_rank_of_a_failed_search(self):
+        comp, pred = _literal_sweep(16, 3)
+        # x@0 and its negation in one clause each: no choice holds.
+        pred = CNFPredicate(
+            [*pred.clauses, Clause([Literal(0, "x", negated=True)])]
+        )
+        events = []
+        with progress_context(sink=events.append, interval_s=0.0):
+            result = detect_cnf_by_literal_choice(comp, pred)
+        assert not result.holds
+        done = [e.done for e in events if e.name == "detect.combinations"]
+        assert done == sorted(done)
+        assert done[-1] == result.stats["combinations"] == 2**16
 
     def test_zero_total_short_circuits(self, figure2):
-        outcome = run_combination_search(figure2, [[], [[(0, 1)]]], workers=2)
-        assert outcome is not None
-        assert outcome.selection is None
-        assert outcome.invocations == 0
-        assert outcome.chunks == 0
+        outcome = search_combinations(figure2, [[], [[(0, 1)]]])
+        assert outcome.selection is None and outcome.rank is None
+        assert outcome.nodes == outcome.pair_checks == 0

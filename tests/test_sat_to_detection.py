@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.computation import initial_cut
 from repro.detection import (
     detect_by_chain_choice,
     detect_by_process_choice,
@@ -139,7 +140,9 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("pairs", [2, 4, 6, 8])
     def test_unsatisfiable_gadget_sweeps_every_combination(self, pairs):
-        # (x1)(~x1)...(xp)(~xp): refuting it scans every combination.
+        # (x1)(~x1)...(xp)(~xp): every group is one chain, so there is one
+        # combination, and its only node fails when forward checking finds
+        # x1's chain incompatible with ~x1's.
         formula = CNFFormula(
             tuple((s * v,) for v in range(1, pairs + 1) for s in (1, -1))
         )
@@ -148,7 +151,9 @@ class TestEquivalence:
             instance.computation, instance.predicate
         )
         assert not result.holds
-        assert result.stats["invocations"] == result.stats["combinations"]
+        assert result.stats["combinations"] == 1
+        assert result.stats["invocations"] == 1
+        assert result.stats["pair_checks"] == 1
 
     def test_figure3_example_satisfiable(self):
         # (x1 v x2)(~x1 v ~x2)(x1 v ~x2)(~x1 v x2) forces x1 != x2 and
@@ -157,3 +162,61 @@ class TestEquivalence:
         satisfiable = dpll_solve(FIG3) is not None
         result = detect_by_chain_choice(instance.computation, instance.predicate)
         assert result.holds == satisfiable
+
+
+class TestExplicitRaises:
+    """The decoding checks raise explicitly, so ``python -O`` keeps them."""
+
+    def test_misbuilt_gadget_event_raises(self, monkeypatch):
+        from repro.computation import ComputationBuilder
+
+        internal = ComputationBuilder.internal
+
+        def shifted(self, process, **values):
+            p, i = internal(self, process, **values)
+            return p, i + 1
+
+        monkeypatch.setattr(ComputationBuilder, "internal", shifted)
+        with pytest.raises(AssertionError, match="was built as"):
+            satisfiability_to_detection(FIG3)
+
+    def test_both_polarities_raise(self, monkeypatch):
+        from repro.computation import Cut
+
+        instance = satisfiability_to_detection(FIG3)
+        witness = initial_cut(instance.computation)
+        monkeypatch.setattr(Cut, "passes_through", lambda self, eid: True)
+        with pytest.raises(AssertionError, match="both polarities"):
+            assignment_from_witness(instance, witness)
+
+    def test_non_satisfying_witness_raises(self):
+        formula = CNFFormula(((1,), (2,)))
+        instance = satisfiability_to_detection(formula)
+        # The initial cut passes through no true event: every variable
+        # defaults to False, which falsifies the formula.
+        witness = initial_cut(instance.computation)
+        with pytest.raises(AssertionError, match="satisfying assignment"):
+            assignment_from_witness(instance, witness)
+
+    def test_missing_cut_raises(self, monkeypatch):
+        from repro.reductions import sat_to_detection
+
+        instance = satisfiability_to_detection(CNFFormula(((1, 2),)))
+        monkeypatch.setattr(
+            sat_to_detection, "least_consistent_cut", lambda comp, ids: None
+        )
+        with pytest.raises(AssertionError, match="must be consistent"):
+            witness_from_assignment(instance, {1: True, 2: False})
+
+    def test_non_satisfying_cut_raises(self, monkeypatch):
+        from repro.reductions import sat_to_detection
+
+        instance = satisfiability_to_detection(CNFFormula(((1, 2),)))
+        initial = initial_cut(instance.computation)
+        monkeypatch.setattr(
+            sat_to_detection,
+            "least_consistent_cut",
+            lambda comp, ids: initial,
+        )
+        with pytest.raises(AssertionError, match="does not satisfy"):
+            witness_from_assignment(instance, {1: True, 2: False})

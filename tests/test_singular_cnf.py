@@ -16,12 +16,13 @@ from repro.detection import (
     possibly_enumerate,
 )
 from repro.detection.singular_cnf import (
+    chain_choice_table,
     clause_true_events,
     clause_true_events_on,
+    literal_choice_table,
+    process_choice_table,
+    search_combinations,
 )
-from repro.detection.work_optimal import CombinationSweep, combination_at
-from repro.perf.causality import CausalityIndex
-from repro.perf.clockmatrix import numpy_available
 from repro.predicates import (
     NotSingularError,
     clause,
@@ -30,6 +31,7 @@ from repro.predicates import (
     singular_cnf,
 )
 from repro.reductions import possibly_via_sat
+from repro.testkit.oracles import combination_at, rank_walk
 from repro.trace import BoolVar, grouped_computation
 
 
@@ -150,11 +152,8 @@ class TestCombinatorics:
         assert result.stats["combinations"] == 4
 
 
-@pytest.mark.skipif(
-    not numpy_available(), reason="the batched kernel needs numpy"
-)
-class TestKernelsAgree:
-    """The batched sweep and the serial scan agree rank by rank."""
+class TestSearchAgrees:
+    """The combination search agrees with a product-order rank walk."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -165,7 +164,7 @@ class TestKernelsAgree:
         st.sampled_from([0.2, 0.4, 0.7]),
         st.integers(0, 100_000),
     )
-    def test_scan_block_matches_selection_scan(
+    def test_search_matches_rank_walk(
         self, groups, size, events, density, truth, seed
     ):
         comp = grouped_computation(
@@ -177,32 +176,18 @@ class TestKernelsAgree:
             variables=[BoolVar("x", density=truth)],
         )
         pred = predicate_for_groups(groups, size, negate_some=seed % 2 == 1)
-        index = CausalityIndex.of(comp)
-        process_choice = [
-            [
-                list(index.clause_true_events_on(cl, p))
-                for p in sorted(cl.processes())
-            ]
-            for cl in pred.clauses
-        ]
-        chain_cover = [
-            [list(chain) for chain in index.chain_cover(cl)]
-            for cl in pred.clauses
-        ]
-        for table in (process_choice, chain_cover):
+        for table in (
+            process_choice_table(comp, pred),
+            chain_choice_table(comp, pred),
+            literal_choice_table(comp, pred),
+        ):
+            # Every rank alone: the search of a one-combination table is
+            # one CPDHB scan of that combination.
             total = math.prod(len(chains) for chains in table)
-            if total == 0:
-                continue
-            sweep = CombinationSweep(comp, table)
-            first = None
             for rank in range(total):
-                serial = SelectionScan(
-                    comp, combination_at(table, rank)
-                ).run()
-                won, selection, _, _ = sweep.scan_block(rank, rank + 1)
-                assert (won is not None) == (serial is not None), rank
-                assert selection == serial, rank
-                if serial is not None and first is None:
-                    first = (rank, serial)
-            won, selection, _, _ = sweep.scan_block(0, total)
-            assert (won, selection) == (first or (None, None))
+                combo = combination_at(table, rank)
+                alone = search_combinations(comp, [[c] for c in combo])
+                assert alone.selection == SelectionScan(comp, combo).run()
+            # The whole table: the first success in product order.
+            found = search_combinations(comp, table)
+            assert (found.rank, found.selection) == rank_walk(comp, table)

@@ -12,16 +12,14 @@ from repro.detection import (
     find_consistent_selection,
     possibly_enumerate,
 )
-from repro.detection.work_optimal import (
-    VEC_CHUNK,
-    VEC_MIN_COMBINATIONS,
-    RankScanner,
-    use_batched_sweep,
+from repro.detection.singular_cnf import (
+    literal_choice_table,
+    search_combinations,
 )
-from repro.detection.work_optimal import combination_at
 from repro.predicates import clause, cnf, local
 from repro.predicates.local import true_events
 from repro.reductions import possibly_via_sat
+from repro.testkit.oracles import combination_at
 from repro.trace import BoolVar, random_computation
 
 
@@ -99,8 +97,8 @@ def first_success_in_product_order(comp, pred):
 
 
 class TestManyCombinations:
-    """At least ``VEC_MIN_COMBINATIONS`` literal choices: the batched
-    kernel with numpy, the per-rank scan under ``REPRO_NO_NUMPY=1``."""
+    """128 literal choices: the search's verdict and witness are those of
+    the first success in product order."""
 
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_sat_oracle_and_reference_witness(self, seed):
@@ -109,7 +107,7 @@ class TestManyCombinations:
         )
         pred = many_clause_predicate(seed, 3, num_clauses=7, width=2)
         result = detect_cnf_by_literal_choice(comp, pred)
-        assert result.stats["combinations"] == 128 >= VEC_MIN_COMBINATIONS
+        assert result.stats["combinations"] == 128
         assert result.holds == (possibly_via_sat(comp, pred) is not None)
         reference = first_success_in_product_order(comp, pred)
         if result.holds:
@@ -117,7 +115,8 @@ class TestManyCombinations:
             assert result.witness.frontier == reference.frontier
         else:
             assert reference is None
-            assert result.stats["invocations"] == 128
+        # A binary tree of depth 7 has 254 nodes below its root.
+        assert 1 <= result.stats["invocations"] <= 254
 
 
 def one_true_event():
@@ -136,8 +135,8 @@ X, Y, Z = local(0, "x"), local(1, "y"), local(1, "z")
 
 class TestHugeCombinationSpaces:
     """Clause counts put no bound on the literal choices: 3^30 and 3^40
-    (more than an int64 counts) must still be swept lazily, and a choice
-    that holds early must be found at once."""
+    (more than an int64 counts) must be searched without enumerating
+    ranks, and a choice that holds early must be found at once."""
 
     def test_first_choice_holds_among_3_to_the_30(self):
         comp = one_true_event()
@@ -146,14 +145,15 @@ class TestHugeCombinationSpaces:
         assert result.holds
         assert result.witness.frontier == (2, 1)
         assert result.stats["combinations"] == 3**30
-        # One scan per rank, or the whole first block when batched.
-        batched = use_batched_sweep(3**30)
-        assert result.stats["invocations"] == (VEC_CHUNK if batched else 1)
+        # y and z never hold, so each clause's domain is x alone: one
+        # node per clause, and one pair scan, of x's chain with itself.
+        assert result.stats["invocations"] == 30
+        assert result.stats["pair_checks"] == 1
 
     def test_choice_at_rank_242_among_3_to_the_40(self):
         # The last five clauses (the fastest digits) must choose x@0, so
-        # the first success is rank 2 * (3^4 + ... + 1) = 242: inside the
-        # first batched block with numpy, the 243rd scan without.
+        # the first success is rank 2 * (3^4 + ... + 1) = 242, reached
+        # with one node per clause.
         comp = one_true_event()
         pred = cnf(
             *(clause(X, Y, Z) for _ in range(35)),
@@ -163,8 +163,9 @@ class TestHugeCombinationSpaces:
         assert result.holds
         assert result.witness.frontier == (2, 1)
         assert result.stats["combinations"] == 3**40 > 2**63
-        batched = use_batched_sweep(3**40)
-        assert result.stats["invocations"] == (VEC_CHUNK if batched else 243)
+        assert result.stats["invocations"] == 40
+        table = literal_choice_table(comp, pred)
+        assert search_combinations(comp, table).rank == 242
 
     def test_ranks_above_int64_decode_in_product_order(self):
         # Now the first 35 clauses must choose x@0 (their last literal)
@@ -172,13 +173,11 @@ class TestHugeCombinationSpaces:
         # 3^40 - 3^5, far above 2^63.
         comp = one_true_event()
         per_clause = [[[], [], [(0, 1)]]] * 35 + [[[(0, 1)], [], []]] * 5
-        total = 3**40
-        rank, selection, _, _ = RankScanner(comp, per_clause).scan(
-            total - 4096, total
-        )
-        assert rank == total - 3**5
-        assert combination_at(per_clause, rank) == [[(0, 1)]] * 40
-        assert selection == [(0, 1)] * 40
+        found = search_combinations(comp, per_clause)
+        assert found.rank == 3**40 - 3**5
+        assert combination_at(per_clause, found.rank) == [[(0, 1)]] * 40
+        assert found.selection == [(0, 1)] * 40
+        assert found.nodes == 40
 
 
 class TestMechanics:

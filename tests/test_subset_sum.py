@@ -107,3 +107,22 @@ class TestRandomInstance:
     def test_validation(self):
         with pytest.raises(ValueError):
             random_instance(0, 5, 1)
+
+
+class TestExplicitRaises:
+    """The decoding checks raise explicitly, so ``python -O`` keeps them."""
+
+    def test_witness_off_target_raises(self):
+        instance = SubsetSumInstance((1, 2), 3)
+        comp, _ = subset_sum_to_detection(instance)
+        off_target = witness_from_subset(comp, [0])
+        with pytest.raises(AssertionError, match="sums to 1, not 3"):
+            subset_from_witness(instance, off_target)
+
+    def test_inconsistent_subset_cut_raises(self, monkeypatch):
+        from repro.computation import Cut
+
+        comp, _ = subset_sum_to_detection(SubsetSumInstance((1, 2), 3))
+        monkeypatch.setattr(Cut, "is_consistent", lambda self: False)
+        with pytest.raises(AssertionError, match="is inconsistent"):
+            witness_from_subset(comp, [0, 1])
