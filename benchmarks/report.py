@@ -67,7 +67,6 @@ from repro.detection import (
     possibly_symmetric,
 )
 from repro.monitor import OnlineConjunctiveMonitor
-from repro.perf.clockmatrix import HAVE_NUMPY
 from repro.predicates import (
     absence_of_simple_majority,
     absence_of_two_thirds_majority,
@@ -660,16 +659,10 @@ def machine_record() -> Dict[str, object]:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity API on this platform
         cores = os.cpu_count() or 1
-    numpy_version = "absent"
-    if HAVE_NUMPY:
-        import numpy
-
-        numpy_version = numpy.__version__
     return {
         "machine": platform.machine(),
         "python": platform.python_version(),
         "cores": cores,
-        "numpy": numpy_version,
     }
 
 

@@ -46,7 +46,7 @@ from repro.events import Event
 from repro.predicates.base import ConstantPredicate, GlobalPredicate, disjunction
 from repro.predicates.boolean import Clause, CNFPredicate
 from repro.predicates.channel import InFlightPredicate
-from repro.predicates.conjunctive import ConjunctivePredicate
+from repro.predicates.conjunctive import ConjunctivePredicate, conjunctive_view
 from repro.predicates.local import Literal, LocalPredicate
 from repro.predicates.relational import RelationalSumPredicate, Relop
 from repro.predicates.symmetric import SymmetricPredicate
@@ -303,13 +303,6 @@ def build_classification(
     process_local: Optional[int] = None
     if len(per_process) == 1 and not global_reads and not channels:
         (process_local,) = per_process.keys()
-    conjunctive_view = isinstance(
-        rewrite, (ConjunctivePredicate, Literal)
-    ) or (
-        isinstance(rewrite, CNFPredicate)
-        and rewrite.is_conjunctive()
-        and rewrite.is_singular()
-    )
     needs_n = _needs_process_count(tree)
     return Classification(
         source=source,
@@ -322,7 +315,7 @@ def build_classification(
         approximation_exact=approx_exact,
         process_local=process_local,
         monotone=monotone,
-        conjunctive_view=conjunctive_view,
+        conjunctive_view=conjunctive_view(rewrite) is not None,
         num_processes=num_processes if needs_n else None,
     )
 

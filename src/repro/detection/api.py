@@ -7,7 +7,7 @@ sound engine for its structure:
 ===========================  =============================================
 predicate class              possibly engine
 ===========================  =============================================
-ConjunctivePredicate         Garg–Waldecker CPDHB scan (polynomial)
+ConjunctivePredicate, local  Garg–Waldecker CPDHB scan (polynomial)
 CNFPredicate, 1-CNF          CPDHB scan via conjunctive view (polynomial)
 CNFPredicate, singular       CPDSC special case when receive-/send-ordered,
                              else chain-choice enumeration (Section 3.3)
@@ -17,7 +17,8 @@ OrPredicate                  distribute possibly over the disjuncts
 anything else                slice-bounded Cooper–Marzullo enumeration
 ===========================  =============================================
 
-``definitely`` uses the Theorem 7(2) decomposition for unit-step sum
+``definitely`` runs the interval-anchor engine on the same conjunctive
+views, the Theorem 7(2) decomposition for unit-step sum
 equality and symmetric singletons, and the exact avoidance search
 otherwise.  :func:`detect` returns the full :class:`DetectionResult` with
 the witness cut and algorithm statistics.
@@ -68,7 +69,7 @@ from repro.predicates.boolean import Clause, CNFPredicate
 from repro.predicates.channel import InFlightPredicate
 from repro.predicates.conjunctive import (
     ConjunctivePredicate,
-    conjunctive_from_cnf,
+    conjunctive_view,
 )
 from repro.predicates.inequity import InequityPredicate
 from repro.predicates.local import LocalPredicate
@@ -187,6 +188,10 @@ def _inferred(
     rejected the certificate, or only a conjunctive over-approximation
     was recovered (the slice-first enumeration path picks that up on its
     own) — the caller then falls back to structural dispatch unchanged.
+
+    A positive witness is checked against the predicate itself: when it
+    fails there, the certificate was wrong, and the query is answered as
+    with ``infer=False`` (no slice bounds from that certificate either).
     """
     from repro.analysis.classify import classification_for
 
@@ -214,6 +219,17 @@ def _inferred(
         else:
             sp.set(outcome="approximation-only")
             return None
+        if (
+            result.holds
+            and result.witness is not None
+            and not predicate.evaluate(result.witness)
+        ):
+            sp.set(outcome="witness-mismatch")
+            if STATE.enabled:
+                registry().counter("detect.witness_mismatch").inc()
+            if modality is Modality.POSSIBLY:
+                return _possibly(computation, predicate, infer=False)
+            return _definitely(computation, predicate, infer=False)
         return DetectionResult(
             holds=result.holds,
             witness=result.witness,
@@ -248,17 +264,8 @@ def _work_optimal(
         certificate = classification_for(predicate, computation)
         if certificate is not None and certificate.conjunctive_view:
             predicate = certificate.rewrite
-    if isinstance(predicate, ConjunctivePredicate):
-        conj = predicate
-    elif isinstance(predicate, LocalPredicate):
-        conj = ConjunctivePredicate([predicate])
-    elif (
-        isinstance(predicate, CNFPredicate)
-        and predicate.is_conjunctive()
-        and predicate.is_singular()
-    ):
-        conj = conjunctive_from_cnf(predicate)
-    else:
+    conj = conjunctive_view(predicate)
+    if conj is None:
         raise UnsupportedPredicateError(
             "the work-optimal engine requires a conjunctive-viewable "
             "predicate"
@@ -271,17 +278,10 @@ def _possibly(
     predicate: GlobalPredicate,
     infer: bool = True,
 ) -> DetectionResult:
-    if isinstance(predicate, ConjunctivePredicate):
-        return detect_conjunctive(computation, predicate)
-    if isinstance(predicate, LocalPredicate):
-        return detect_conjunctive(
-            computation, ConjunctivePredicate([predicate])
-        )
+    conj = conjunctive_view(predicate)
+    if conj is not None:
+        return detect_conjunctive(computation, conj)
     if isinstance(predicate, CNFPredicate):
-        if predicate.is_conjunctive() and predicate.is_singular():
-            return detect_conjunctive(
-                computation, conjunctive_from_cnf(predicate)
-            )
         if predicate.is_singular():
             return detect_singular(computation, predicate, strategy="auto")
         # Non-singular CNF: the Stoller–Schneider decomposition into
@@ -321,16 +321,9 @@ def _definitely(
     predicate: GlobalPredicate,
     infer: bool = True,
 ) -> DetectionResult:
-    if isinstance(predicate, ConjunctivePredicate):
-        return definitely_conjunctive(computation, predicate)
-    if (
-        isinstance(predicate, CNFPredicate)
-        and predicate.is_conjunctive()
-        and predicate.is_singular()
-    ):
-        return definitely_conjunctive(
-            computation, conjunctive_from_cnf(predicate)
-        )
+    conj = conjunctive_view(predicate)
+    if conj is not None:
+        return definitely_conjunctive(computation, conj)
     if isinstance(predicate, RelationalSumPredicate):
         return definitely_sum(computation, predicate)
     if isinstance(predicate, SymmetricPredicate):

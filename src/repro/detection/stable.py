@@ -15,8 +15,6 @@ this module is the offline/trace side.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.computation import Computation, final_cut, iter_consistent_cuts
 from repro.detection.result import DetectionResult
 from repro.obs import span
@@ -42,18 +40,14 @@ def is_stable(
 
 
 def detect_stable(
-    computation: Computation,
-    predicate: GlobalPredicate,
-    verify_stability: bool = False,
+    computation: Computation, predicate: GlobalPredicate
 ) -> DetectionResult:
     """Decide possibly/definitely of a *stable* predicate in O(n).
 
     For stable predicates the two modalities coincide and are decided at
-    the final cut.  Pass ``verify_stability=True`` to check the stability
-    assumption exhaustively first (raises ValueError if violated).
+    the final cut.  Stability is assumed, not checked; :func:`is_stable`
+    checks it exhaustively on small traces.
     """
-    if verify_stability and not is_stable(computation, predicate):
-        raise ValueError("predicate is not stable on this computation")
     with span("engine.stable-final-cut") as sp:
         last = final_cut(computation)
         holds = predicate.evaluate(last)

@@ -5,7 +5,7 @@ want to see every global state exhibiting a condition (e.g. every state
 where two processes overlap in their critical sections).  This module
 enumerates them:
 
-* conjunctive predicates route through the slice
+* predicates with a conjunctive view route through the slice
   (:class:`repro.slicing.ConjunctiveSlice`), touching only the satisfying
   sublattice;
 * everything else filters the lattice enumeration (exponential, with a
@@ -15,15 +15,11 @@ enumerates them:
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.computation import Computation, Cut, iter_consistent_cuts
 from repro.predicates.base import GlobalPredicate
-from repro.predicates.boolean import CNFPredicate
-from repro.predicates.conjunctive import (
-    ConjunctivePredicate,
-    conjunctive_from_cnf,
-)
+from repro.predicates.conjunctive import conjunctive_view
 
 __all__ = ["iter_witnesses", "count_witnesses"]
 
@@ -33,20 +29,16 @@ def iter_witnesses(
 ) -> Iterator[Cut]:
     """Lazily yield every consistent cut satisfying the predicate.
 
-    Conjunctive predicates (and 1-CNF views of them) enumerate through the
-    slice — output-sensitive; other predicates filter the full lattice.
-    Cuts arrive in non-decreasing size order either way.
+    Predicates with a conjunctive view (conjunctive, local, singular
+    1-CNF) enumerate through the slice — output-sensitive; other
+    predicates filter the full lattice.  Cuts arrive in non-decreasing
+    size order either way.
     """
-    conjunctive_view: Optional[ConjunctivePredicate] = None
-    if isinstance(predicate, ConjunctivePredicate):
-        conjunctive_view = predicate
-    elif isinstance(predicate, CNFPredicate) and predicate.is_conjunctive():
-        if predicate.is_singular():
-            conjunctive_view = conjunctive_from_cnf(predicate)
-    if conjunctive_view is not None:
+    conj = conjunctive_view(predicate)
+    if conj is not None:
         from repro.slicing import ConjunctiveSlice
 
-        yield from ConjunctiveSlice(computation, conjunctive_view)
+        yield from ConjunctiveSlice(computation, conj)
         return
     for cut in iter_consistent_cuts(computation):
         if predicate.evaluate(cut):

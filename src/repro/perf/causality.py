@@ -28,8 +28,8 @@ stored on the computation, by every query against the same computation):
   (:meth:`successor_frontiers`) over a lazily built per-event
   receive-delta table, letting BFS engines track plain frontier tuples
   instead of constructing and re-hashing :class:`Cut` objects per edge;
-* the dense numpy :class:`~repro.perf.clockmatrix.ClockMatrix`
-  (:attr:`matrix`), built on first use; no engine reads it any more;
+* the clock table as one dense numpy array (:attr:`matrix`), built on
+  first use; no engine reads it;
 * the classifier's validation sample (:attr:`validation_sample`), which
   depends only on the computation's shape and is drawn once by
   :func:`repro.analysis.classify.validate.sample_cuts`.
@@ -407,21 +407,23 @@ class CausalityIndex:
         return result
 
     # ------------------------------------------------------------------
-    # Struct-of-arrays clock matrix
+    # Dense clock matrix
     # ------------------------------------------------------------------
     @property
     def matrix(self):
-        """The computation's shared :class:`~repro.perf.clockmatrix.ClockMatrix`.
+        """The clock table as one dense ``(total_events, n)`` ``int64``
+        numpy array, rows in process-major order.
 
-        Built lazily from the clock table, importing numpy on the way:
-        callers reach it only when
-        :data:`~repro.perf.clockmatrix.HAVE_NUMPY` is set.  No engine
-        reads it; the benchmark harness still times its build.
+        Built lazily, once per index; this is the only place the package
+        imports numpy, and only the benchmark harness reads it.  No engine
+        does: every engine reads the clock table itself.
         """
         if self._matrix is None:
-            from repro.perf.clockmatrix import ClockMatrix
+            import numpy as np
 
-            self._matrix = ClockMatrix(self._clk)
+            self._matrix = np.array(
+                [row for rows in self._clk for row in rows], dtype=np.int64
+            )
         return self._matrix
 
     # ------------------------------------------------------------------

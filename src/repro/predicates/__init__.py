@@ -24,6 +24,7 @@ from repro.predicates.conjunctive import (
     ConjunctivePredicate,
     conjunctive,
     conjunctive_from_cnf,
+    conjunctive_view,
 )
 from repro.predicates.errors import (
     NotSingularError,
@@ -88,6 +89,7 @@ __all__ = [
     "conjunction",
     "conjunctive",
     "conjunctive_from_cnf",
+    "conjunctive_view",
     "disjunction",
     "exactly_k_tokens",
     "exclusive_or",

@@ -9,15 +9,20 @@ decidable in polynomial time by the CPDHB scan
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.computation import Cut
 from repro.predicates.base import GlobalPredicate
-from repro.predicates.boolean import CNFPredicate, Clause
+from repro.predicates.boolean import CNFPredicate
 from repro.predicates.errors import PredicateError
-from repro.predicates.local import Literal, LocalPredicate
+from repro.predicates.local import LocalPredicate
 
-__all__ = ["ConjunctivePredicate", "conjunctive", "conjunctive_from_cnf"]
+__all__ = [
+    "ConjunctivePredicate",
+    "conjunctive",
+    "conjunctive_from_cnf",
+    "conjunctive_view",
+]
 
 
 class ConjunctivePredicate(GlobalPredicate):
@@ -71,3 +76,26 @@ def conjunctive_from_cnf(predicate: CNFPredicate) -> ConjunctivePredicate:
             )
         conjuncts.append(cl.literals[0])
     return ConjunctivePredicate(conjuncts)
+
+
+def conjunctive_view(
+    predicate: GlobalPredicate,
+) -> Optional[ConjunctivePredicate]:
+    """The predicate as a conjunctive predicate, when it is one.
+
+    A conjunctive predicate is its own view, a local predicate is a
+    conjunction of one, and a singular 1-CNF is the conjunction of its
+    literals.  Any other predicate has no faithful conjunctive view:
+    returns None.
+    """
+    if isinstance(predicate, ConjunctivePredicate):
+        return predicate
+    if isinstance(predicate, LocalPredicate):
+        return ConjunctivePredicate([predicate])
+    if (
+        isinstance(predicate, CNFPredicate)
+        and predicate.is_conjunctive()
+        and predicate.is_singular()
+    ):
+        return conjunctive_from_cnf(predicate)
+    return None

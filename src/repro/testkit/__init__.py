@@ -53,7 +53,6 @@ from repro.testkit.registry import (
     EngineSpec,
     OracleRegistry,
     as_cnf,
-    as_conjunctive,
     default_registry,
 )
 from repro.testkit.shrink import ShrinkResult, referenced_processes, shrink
@@ -75,7 +74,6 @@ __all__ = [
     "all_consistent_cuts",
     "all_cuts",
     "as_cnf",
-    "as_conjunctive",
     "brute_definitely",
     "brute_possibly",
     "brute_runs",

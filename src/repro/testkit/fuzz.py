@@ -235,12 +235,11 @@ def _gen_protocol_faults(rng: "_random.Random", seed: int) -> Instance:
     return comp, pred, Modality.POSSIBLY
 
 
-def _gen_clockmatrix_roundtrip(rng: "_random.Random", seed: int) -> Instance:
+def _gen_index_roundtrip(rng: "_random.Random", seed: int) -> Instance:
     """Simulator traces under random fault plans — crash/restart epochs
     included — as conjunctive instances, so the registry's
-    ``clockmatrix-roundtrip`` engine cross-checks the causality index's
-    successor frontiers and consistency closure, and the clock matrix's
-    rows, on them."""
+    ``index-roundtrip`` engine cross-checks the causality index's
+    successor frontiers and consistency closure on them."""
     from repro.simulation.faults import CrashSpec, FaultPlan
     from repro.simulation.protocols import build_token_ring
 
@@ -373,7 +372,7 @@ FAMILIES: Dict[str, Generator] = {
     "symmetric": _gen_symmetric,
     "protocol-faults": _gen_protocol_faults,
     "slice-roundtrip": _gen_slice_roundtrip,
-    "clockmatrix-roundtrip": _gen_clockmatrix_roundtrip,
+    "index-roundtrip": _gen_index_roundtrip,
     "classify-roundtrip": _gen_classify_roundtrip,
 }
 

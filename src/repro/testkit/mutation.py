@@ -25,9 +25,10 @@ from repro.computation import Computation, least_consistent_cut
 from repro.events import EventId
 from repro.predicates import Modality
 from repro.predicates.base import GlobalPredicate
+from repro.predicates.conjunctive import conjunctive_view
 from repro.predicates.errors import UnsupportedPredicateError
 from repro.predicates.local import true_events
-from repro.testkit.registry import EngineSpec, as_conjunctive
+from repro.testkit.registry import EngineSpec
 
 __all__ = ["buggy_detect_conjunctive", "planted_engine", "PLANTED_ENGINE_NAME"]
 
@@ -87,7 +88,7 @@ def buggy_detect_conjunctive(
     computation: Computation, predicate: GlobalPredicate
 ) -> bool:
     """``possibly`` of a conjunctive predicate via the buggy scan copy."""
-    conj = as_conjunctive(predicate)
+    conj = conjunctive_view(predicate)
     if conj is None:
         raise UnsupportedPredicateError(
             "the planted engine handles conjunctive predicates only"

@@ -25,7 +25,7 @@ from repro.predicates.base import GlobalPredicate
 from repro.predicates.boolean import CNFPredicate, Clause
 from repro.predicates.conjunctive import (
     ConjunctivePredicate,
-    conjunctive_from_cnf,
+    conjunctive_view,
 )
 from repro.predicates.local import Literal
 from repro.predicates.relational import RelationalSumPredicate, Relop
@@ -38,7 +38,6 @@ __all__ = [
     "OracleRegistry",
     "default_registry",
     "as_cnf",
-    "as_conjunctive",
 ]
 
 #: An engine adapter: (computation, predicate) -> boolean verdict.
@@ -196,18 +195,6 @@ def as_cnf(predicate: GlobalPredicate) -> Optional[CNFPredicate]:
     return None
 
 
-def as_conjunctive(
-    predicate: GlobalPredicate,
-) -> Optional[ConjunctivePredicate]:
-    """View a predicate as conjunctive when a faithful translation exists."""
-    if isinstance(predicate, ConjunctivePredicate):
-        return predicate
-    if isinstance(predicate, CNFPredicate):
-        if predicate.is_conjunctive() and predicate.is_singular():
-            return conjunctive_from_cnf(predicate)
-    return None
-
-
 def _has_cnf_view(computation: Computation, predicate: GlobalPredicate) -> bool:
     return as_cnf(predicate) is not None
 
@@ -297,18 +284,18 @@ def _build_default() -> OracleRegistry:
 
     # -- conjunctive (incl. singular 1-CNF) -----------------------------
     def is_conjunctive_class(pred: GlobalPredicate) -> bool:
-        return as_conjunctive(pred) is not None
+        return conjunctive_view(pred) is not None
 
     registry.register_class("conjunctive", is_conjunctive_class)
 
     def run_cpdhb(comp: Computation, pred: GlobalPredicate) -> bool:
-        return detect_conjunctive(comp, as_conjunctive(pred)).holds
+        return detect_conjunctive(comp, conjunctive_view(pred)).holds
 
     def run_slice(comp: Computation, pred: GlobalPredicate) -> bool:
-        return not ConjunctiveSlice(comp, as_conjunctive(pred)).empty
+        return not ConjunctiveSlice(comp, conjunctive_view(pred)).empty
 
     def run_anchors(comp: Computation, pred: GlobalPredicate) -> bool:
-        return definitely_conjunctive(comp, as_conjunctive(pred)).holds
+        return definitely_conjunctive(comp, conjunctive_view(pred)).holds
 
     def run_sliced_possibly(
         comp: Computation, pred: GlobalPredicate
@@ -355,7 +342,7 @@ def _build_default() -> OracleRegistry:
         )
         return sliced.holds
 
-    def run_clockmatrix_roundtrip(
+    def run_index_roundtrip(
         comp: Computation, pred: GlobalPredicate
     ) -> bool:
         """Walk every consistent frontier and cross-check the causality
@@ -363,25 +350,13 @@ def _build_default() -> OracleRegistry:
         successor frontiers against ``Cut.successors()``, order
         included, and the consistency closure of each one-process
         advance (which must be consistent, and the advance itself when
-        that is already consistent).  With numpy present, every clock
-        matrix row must equal its clock-table row.  Then return the CPDHB
-        verdict.  Any divergence raises — a crash finding for the
-        fuzzer."""
+        that is already consistent).  Then return the CPDHB verdict.
+        Any divergence raises — a crash finding for the fuzzer."""
         from repro.computation import Cut, initial_cut
         from repro.perf.causality import CausalityIndex
-        from repro.perf.clockmatrix import HAVE_NUMPY
 
         index = CausalityIndex.of(comp)
         lengths = [len(comp.events_of(p)) for p in range(comp.num_processes)]
-        if HAVE_NUMPY:
-            matrix = index.matrix
-            for p, length in enumerate(lengths):
-                for i in range(length):
-                    _check(
-                        tuple(matrix.clk[matrix.row((p, i))])
-                        == index._clk[p][i],
-                        f"matrix row of {(p, i)} diverges from the table",
-                    )
         start = initial_cut(comp).frontier
         seen = {start}
         wave = [start]
@@ -453,9 +428,9 @@ def _build_default() -> OracleRegistry:
         EngineSpec("cpdhb", P, run_cpdhb),
         EngineSpec("slice", P, run_slice),
         EngineSpec(
-            "clockmatrix-roundtrip",
+            "index-roundtrip",
             P,
-            run_clockmatrix_roundtrip,
+            run_index_roundtrip,
             max_events=ORACLE_MAX_EVENTS,
         ),
         EngineSpec(

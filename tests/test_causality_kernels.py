@@ -5,12 +5,16 @@ The index's pairwise kernels (``leq`` / ``happened_before``, read off the
 shared clock table) are checked against ``VectorClock`` order; its
 receive-delta ``successor_frontiers`` against ``Cut.successors()``, order
 included, on every consistent frontier; ``closure_at_least`` against a
-brute-force least cut; and, when numpy is present, the clock matrix's
-rows against the table.  Inputs are arbitrary generated computations
-*and* simulator traces with crash/restart epochs.
+brute-force least cut.  Inputs are arbitrary generated computations
+*and* simulator traces with crash/restart epochs.  With numpy installed,
+the index's dense ``matrix`` copy of the table is checked row by row.
 """
 
 from __future__ import annotations
+
+import gc
+import pickle
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +23,6 @@ from hypothesis import strategies as st
 from repro.computation import Cut, initial_cut, iter_consistent_cuts
 from repro.detection import detect
 from repro.perf.causality import CausalityIndex
-from repro.perf.clockmatrix import numpy_available
 from repro.predicates import Modality, conjunctive, disjunction, local
 from repro.predicates.errors import UnsupportedPredicateError
 from repro.simulation import CrashSpec, FaultPlan
@@ -77,10 +80,6 @@ def assert_pairwise_parity(comp):
             if a != b:
                 assert index.leq(a, b) == (comp.clock(a) <= comp.clock(b))
             assert index.happened_before(a, b) == comp.happened_before(a, b)
-    if numpy_available():
-        matrix = index.matrix
-        for e in events:
-            assert tuple(matrix.clk[matrix.row(e)]) == index._clk[e[0]][e[1]]
 
 
 def assert_frontier_parity(comp):
@@ -144,6 +143,35 @@ class TestKernelParity:
         raised[process] = max(raised[process], minimum)
         assert tuple(index.consistency_closure(raised)) == expected
         assert index.closure_at_least(start, process, minimum) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(computations(), st.integers(0, 500), st.booleans())
+def test_matrix_rows_equal_table_rows(comp, seed, restart):
+    """Every row of the numpy copy, in process-major order, is its event's
+    clock-table row; it is built once per index, and a built copy keeps
+    the computation picklable and freed by reference counting alone."""
+    np = pytest.importorskip("numpy", exc_type=ImportError)
+    ring = crash_ring(seed, restart)
+    for computation in (comp, ring):
+        index = CausalityIndex.of(computation)
+        matrix = index.matrix
+        assert matrix is index.matrix
+        assert matrix.dtype == np.int64
+        events = all_events(computation)
+        assert matrix.shape == (len(events), computation.num_processes)
+        for row, (p, i) in zip(matrix.tolist(), events):
+            assert tuple(row) == index._clk[p][i]
+    copy = pickle.loads(pickle.dumps(ring))
+    assert CausalityIndex.of(copy)._clk == index._clk
+    gc.collect()
+    gc.disable()
+    try:
+        refs = [weakref.ref(ring), weakref.ref(index)]
+        del ring, index, computation
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 class TestStrictEngineMode:

@@ -482,6 +482,76 @@ class TestDetectIntegration:
         assert not result.algorithm.startswith("classify:")
         assert not result.holds
 
+    @staticmethod
+    def assert_answered_without_certificate(comp, modality):
+        """Build a body that equals ``x@0 & x@1`` except at the witness
+        its rewrite's engine returns; detect() must check that witness
+        against the body and answer as with ``infer=False``."""
+        claimed = "lambda cut: cut.value(0, 'x') and cut.value(1, 'x')"
+        rewrite_witness = detect(
+            comp, opaque(claimed), modality
+        ).witness.frontier
+        body = eval(  # noqa: S307
+            compile(
+                "lambda cut: cut.value(0, 'x') and cut.value(1, 'x') "
+                f"and cut.frontier != {rewrite_witness!r}",
+                "<test>",
+                "eval",
+            )
+        )
+        body.__repro_source__ = claimed
+        liar = FunctionPredicate(body, "liar")
+        with obs.Capture() as capture:
+            result = detect(comp, liar, modality)
+        plain = detect(comp, liar, modality, infer=False)
+        assert (result.holds, result.algorithm) == (
+            plain.holds,
+            plain.algorithm,
+        )
+        assert not result.algorithm.startswith("classify:")
+        assert result.witness == plain.witness
+        if result.witness is not None:
+            assert liar.evaluate(result.witness)
+        counters = capture.registry.snapshot()["counters"]
+        assert counters["detect.witness_mismatch"] == 1
+
+        def classify_spans(spans):
+            for span in spans:
+                if span.name == "engine.classify":
+                    yield span
+                yield from classify_spans(span.children)
+
+        (classify_span,) = classify_spans(capture.roots)
+        assert classify_span.attributes["outcome"] == "witness-mismatch"
+        return result
+
+    def test_witness_failing_the_callable_is_not_returned(self):
+        # The sampled validation misses the one cut where the body and
+        # its claimed source differ: the CPDHB witness (2, 2, 1).
+        comp = random_computation(
+            3, 12, 0.3, seed=4, variables=[BoolVar("x", density=0.5)]
+        )
+        result = self.assert_answered_without_certificate(comp, P)
+        assert result.holds
+        assert result.algorithm == "cooper-marzullo"
+        assert result.witness.frontier == (2, 2, 2)
+
+    def test_definitely_witness_failing_the_callable_is_not_returned(
+        self, monkeypatch
+    ):
+        # definitely's witnesses are corner cuts, which validation always
+        # samples; let a certificate through unvalidated to reach the check.
+        import repro.analysis.classify.cache as cache
+
+        monkeypatch.setattr(
+            cache, "validate_certificate", lambda *args: True
+        )
+        comp = random_computation(
+            3, 12, 0.3, seed=4, variables=[BoolVar("x", density=0.5)]
+        )
+        result = self.assert_answered_without_certificate(comp, D)
+        assert result.algorithm == "cooper-marzullo"
+
     def test_classify_span_is_emitted(self, comp):
         wrapped = opaquify(
             ConjunctivePredicate([Literal(0, "x"), Literal(1, "x")])

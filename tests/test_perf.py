@@ -32,7 +32,6 @@ from repro.detection.singular_cnf import (
 from repro.obs import Capture
 from repro.obs.progress import progress_context
 from repro.perf.causality import CausalityIndex
-from repro.perf.clockmatrix import numpy_available
 from repro.predicates import (
     CNFPredicate,
     Clause,
@@ -147,8 +146,6 @@ class TestCausalityIndex:
         try:
             comp = load_computation(str(path))
             index = CausalityIndex.of(comp)
-            if numpy_available():
-                index.matrix
             detect_conjunctive(comp, pred)
             refs = [weakref.ref(comp), weakref.ref(index)]
             del comp, index
@@ -157,8 +154,6 @@ class TestCausalityIndex:
             gc.enable()
 
     def test_indexed_computation_pickles(self, figure2):
-        if numpy_available():
-            CausalityIndex.of(figure2).matrix
         copy = pickle.loads(pickle.dumps(figure2))
         assert CausalityIndex.of(copy) is not CausalityIndex.of(figure2)
         assert CausalityIndex.of(copy)._clk == CausalityIndex.of(figure2)._clk

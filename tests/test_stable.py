@@ -57,13 +57,15 @@ class TestDetectStable:
         assert not detect_stable(terminating, pred).holds
 
     def test_verification_rejects_unstable(self, terminating):
+        # detect_stable assumes stability; is_stable is the check, and a
+        # transient predicate fails it although it holds on some cut.
         pred = FunctionPredicate(
             lambda cut: cut.frontier == (2, 1), "transient"
         )
-        with pytest.raises(ValueError):
-            detect_stable(terminating, pred, verify_stability=True)
+        assert not is_stable(terminating, pred)
+        assert not detect_stable(terminating, pred).holds
 
     def test_verification_accepts_stable(self, terminating):
         pred = sum_predicate("done", ">=", 2)
-        result = detect_stable(terminating, pred, verify_stability=True)
-        assert result.holds
+        assert is_stable(terminating, pred)
+        assert detect_stable(terminating, pred).holds

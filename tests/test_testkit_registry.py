@@ -16,6 +16,7 @@ from repro.predicates import (
     Modality,
     SymmetricPredicate,
     conjunctive,
+    conjunctive_view,
     local,
     sum_predicate,
 )
@@ -23,7 +24,6 @@ from repro.testkit import (
     EngineSpec,
     OracleRegistry,
     as_cnf,
-    as_conjunctive,
     default_registry,
 )
 from repro.trace import BoolVar, random_computation
@@ -189,19 +189,26 @@ class TestAdapters:
     def test_as_cnf_identity_on_cnf(self):
         assert as_cnf(SINGULAR) is SINGULAR
 
-    def test_as_conjunctive_of_1cnf(self):
+    def test_conjunctive_view_of_1cnf(self):
         pred = CNFPredicate(
             [Clause([Literal(0, "x")]), Clause([Literal(1, "x", True)])]
         )
-        conj = as_conjunctive(pred)
+        conj = conjunctive_view(pred)
         assert conj is not None
         assert [(c.process, c.negated) for c in conj.conjuncts] == [
             (0, False),
             (1, True),
         ]
 
-    def test_as_conjunctive_rejects_wide_clauses(self):
-        assert as_conjunctive(SINGULAR) is None
+    def test_conjunctive_view_of_conjunctive_and_local(self):
+        assert conjunctive_view(CONJ) is CONJ
+        lone = local(1, "x")
+        assert conjunctive_view(lone).conjuncts == (lone,)
+        assert default_registry().classify(lone) == "conjunctive"
+
+    def test_conjunctive_view_rejects_wide_clauses(self):
+        assert conjunctive_view(SINGULAR) is None
+        assert conjunctive_view(SUM) is None
         assert as_cnf(SUM) is None
 
     def test_adapters_preserve_verdicts(self):

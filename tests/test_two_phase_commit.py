@@ -8,7 +8,7 @@ import itertools
 import pytest
 
 from repro.computation import final_cut
-from repro.detection import definitely, detect_stable, possibly
+from repro.detection import definitely, detect_stable, is_stable, possibly
 from repro.predicates import (
     conjunctive,
     exactly_k_tokens,
@@ -44,8 +44,8 @@ class TestCommitPath:
     @pytest.mark.parametrize("seed", range(5))
     def test_commit_is_stable(self, seed):
         comp = build_two_phase_commit(N, seed=seed)
-        result = detect_stable(comp, all_committed(), verify_stability=True)
-        assert result.holds
+        assert is_stable(comp, all_committed())
+        assert detect_stable(comp, all_committed()).holds
 
     @pytest.mark.parametrize("seed", range(5))
     def test_votes_definitely_unanimous_along_every_run(self, seed):
